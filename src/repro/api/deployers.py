@@ -49,7 +49,7 @@ from repro.api.results import (
     SimulationResult,
     round_stats_from_dict,
 )
-from repro.core.config import LaacadConfig
+from repro.core.config import LaacadConfig, resolve_engine_name
 from repro.core.convergence import ConvergenceTracker
 from repro.geometry.primitives import Point, distance
 from repro.network.mobility import MobilityModel
@@ -82,6 +82,9 @@ class Deployer(abc.ABC):
 
     #: Deployer kind; doubles as the registry key and the result tag.
     kind: str = "abstract"
+    #: Execution mode: which :data:`~repro.core.config.DEFAULT_ENGINES`
+    #: entry an unset ``config.engine`` resolves to.
+    mode: str = "centralized"
 
     def __init__(
         self,
@@ -90,7 +93,14 @@ class Deployer(abc.ABC):
         mobility: Optional[MobilityModel] = None,
     ) -> None:
         self.network = network
-        self.config = config
+        #: The run configuration, with ``engine`` always a concrete
+        #: backend name — a stored name is never re-resolved, so a
+        #: restored checkpoint keeps the backend it was written with.
+        self.config = (
+            config
+            if config.engine is not None
+            else config.with_engine(resolve_engine_name(None, self.mode))
+        )
         self.mobility = mobility if mobility is not None else MobilityModel()
         self._initial_positions: List[Point] = list(network.positions())
         self._history: List[RoundStats] = []
@@ -259,7 +269,7 @@ class CentralizedDeployer(Deployer):
                 "the network needs at least k alive nodes to attempt k-coverage"
             )
         super().__init__(network, config, mobility)
-        self.engine = make_engine(config.engine, network, config)
+        self.engine = make_engine(self.config.engine, network, self.config)
         self.expose_regions = expose_regions
         #: Regions measured in the last executed round; ``None`` after a
         #: restore (they are recomputed on demand — deterministically,
@@ -403,14 +413,18 @@ class DistributedDeployer(Deployer):
 
     The gather/compute phase is delegated to a pluggable
     :class:`~repro.runtime.engines.DistributedRoundEngine` selected by
-    ``config.engine`` — ``"batched"`` simulates the protocol at the
-    round level over shared distance arrays, ``"legacy"`` executes one
-    scalar agent per node.  Both backends are bitwise identical,
-    including the scheduler RNG draw order on lossy channels (see
-    ``repro.runtime.engines``).
+    ``config.engine`` — ``"sparse"`` (the default for this pipeline)
+    gathers over grid-bucketed candidate pairs, ``"batched"`` simulates
+    the protocol at the round level over shared distance arrays,
+    ``"legacy"`` executes one scalar agent per node.  ``legacy`` and
+    ``batched`` are bitwise identical, including the scheduler RNG draw
+    order on lossy channels (see ``repro.runtime.engines``); ``sparse``
+    meets the 1e-9 tolerance contract with exact communication counters
+    (see ``repro.runtime.sparse``).
     """
 
     kind = "distributed"
+    mode = "distributed"
 
     def __init__(
         self,
@@ -433,7 +447,7 @@ class DistributedDeployer(Deployer):
         )
         self.failure_injector = failure_injector
         self.protocol = make_distributed_engine(
-            config.engine, network, config, self.scheduler
+            self.config.engine, network, self.config, self.scheduler
         )
         self._compat_agents: Optional[Dict[int, Any]] = None
         #: False right after a restore: the engine's last regions are gone
@@ -445,8 +459,8 @@ class DistributedDeployer(Deployer):
         """Per-node protocol agents (legacy introspection surface).
 
         The ``legacy`` engine genuinely executes through these; the
-        ``batched`` engine simulates at the round level, so for it the
-        dict is materialised lazily — same keys, same construction —
+        ``batched`` and ``sparse`` engines simulate at the round level,
+        so for them the dict is materialised lazily — same keys, same construction —
         and *hydrated* from the engine's last round on every access:
         each agent's ``last_region``, ``displacement`` and
         ``proposed_target`` reflect the run exactly as the executed

@@ -5,6 +5,27 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Mapping, Optional
 
+#: The library default round engine of each execution mode, used
+#: wherever ``LaacadConfig.engine`` / ``ScenarioSpec.engine`` is
+#: ``None``.  Distributed runs default to ``sparse``: its per-round cost
+#: grows far more slowly with N than the dense tier's (about 31 ms
+#: against 84 ms per round at N=100), at the price of a fixed cost that
+#: makes whole runs of about a dozen nodes or fewer 10-45% slower.
+#: Centralized runs stay on ``batched`` until the sparse tier's ~10 ms
+#: small-N round floor is fixed (DESIGN.md, "Choosing an engine").
+DEFAULT_ENGINES: Mapping[str, str] = {"centralized": "batched", "distributed": "sparse"}
+
+
+def resolve_engine_name(engine: Optional[str], mode: str) -> str:
+    """The concrete backend name ``engine`` stands for in ``mode``.
+
+    ``mode`` is ``"centralized"`` (the laacad and static pipelines) or
+    ``"distributed"``.  An explicit name always wins (it is validated
+    later, by the engine registry); ``None`` selects the mode's entry in
+    :data:`DEFAULT_ENGINES`.
+    """
+    return engine if engine is not None else DEFAULT_ENGINES[mode]
+
 
 @dataclasses.dataclass(frozen=True)
 class LaacadConfig:
@@ -45,7 +66,11 @@ class LaacadConfig:
             ``"legacy"`` (the original per-node scalar paths), or
             ``"sparse"`` (grid-bucketed candidate pairs and chunked
             kernels, never materialising an N×N matrix — the tier for
-            N in the tens of thousands).  ``legacy`` and ``batched``
+            N in the tens of thousands).  ``None`` (the default) means
+            "the library default for this execution mode" — see
+            :data:`DEFAULT_ENGINES`; every deployer replaces it with
+            the concrete name when it is built, so results and
+            checkpoints always record one.  ``legacy`` and ``batched``
             are bitwise identical; ``sparse`` is held to a 1e-9
             tolerance contract with identical round counts and exact
             communication counters (see DESIGN.md, "The sparse engine
@@ -65,7 +90,7 @@ class LaacadConfig:
     seed: Optional[int] = 0
     record_positions: bool = False
     convergence_patience: int = 1
-    engine: str = "batched"
+    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -84,8 +109,10 @@ class LaacadConfig:
             raise ValueError("circle_check_samples must be at least 8")
         if self.convergence_patience < 1:
             raise ValueError("convergence_patience must be at least 1")
-        if not self.engine or not isinstance(self.engine, str):
-            raise ValueError("engine must be a non-empty backend name")
+        if self.engine is not None and (
+            not self.engine or not isinstance(self.engine, str)
+        ):
+            raise ValueError("engine must be a non-empty backend name or None")
 
     @classmethod
     def from_mapping(cls, options: Mapping[str, Any]) -> "LaacadConfig":
@@ -108,6 +135,6 @@ class LaacadConfig:
         """A copy of this configuration with a different step size."""
         return dataclasses.replace(self, alpha=alpha)
 
-    def with_engine(self, engine: str) -> "LaacadConfig":
+    def with_engine(self, engine: Optional[str]) -> "LaacadConfig":
         """A copy of this configuration with a different round-engine backend."""
         return dataclasses.replace(self, engine=engine)

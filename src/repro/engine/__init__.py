@@ -16,8 +16,10 @@ layers (see DESIGN.md for the full diagram):
 ``"legacy"`` and ``"batched"`` produce bitwise-identical results;
 ``"sparse"`` (grid-bucketed candidate pairs, no dense N×N matrix)
 matches them under the 1e-9 tolerance contract documented in DESIGN.md.
-``"batched"`` is the default; new backends plug in via
-:func:`register_engine`.
+An unset ``LaacadConfig.engine`` resolves per pipeline
+(:data:`repro.core.config.DEFAULT_ENGINES`): ``"batched"`` for
+centralized runs, ``"sparse"`` for distributed ones.  New backends plug
+in via :func:`register_engine`.
 """
 
 from repro.engine.arrays import NodeArrayState

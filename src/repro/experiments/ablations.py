@@ -210,8 +210,9 @@ def run_protocol_overhead(
     """Communication cost of the distributed protocol per round.
 
     ``engine`` selects the distributed round backend (default:
-    REPRO_ENGINE / batched); both backends produce identical counters,
-    so this only affects wall-clock time.
+    REPRO_ENGINE, else the distributed pipeline's default, sparse);
+    every backend produces identical counters, so this only affects
+    wall-clock time and float noise far below the 1e-9 contract.
     """
     if engine is None:
         engine = resolve_engine()

@@ -98,7 +98,8 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         choices=["batched", "legacy", "sparse"],
         default=None,
         help=(
-            "Round-engine backend for the LAACAD runs (default: batched). "
+            "Round-engine backend for the LAACAD runs (default: batched "
+            "for centralized runs, sparse for distributed ones). "
             "batched and legacy are bitwise identical; sparse matches "
             "them within 1e-9 and scales sub-quadratically to large N."
         ),

@@ -17,11 +17,13 @@ FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 
 #: Environment variable selecting the round-engine backend every
 #: experiment runner uses ("batched", "legacy" or "sparse"); the CLI's
-#: ``--engine`` flag sets it.  "batched" and "legacy" produce bitwise
-#: identical results; "sparse" trades that for a 1e-9 tolerance
-#: contract and sub-quadratic memory/time, unlocking node counts the
-#: dense tiers cannot allocate (see DESIGN.md, "The sparse engine
-#: tier").
+#: ``--engine`` flag sets it.  Unset, each pipeline runs on its library
+#: default (``repro.core.config.DEFAULT_ENGINES``: batched for
+#: centralized runs, sparse for distributed ones).  "batched" and
+#: "legacy" produce bitwise identical results; "sparse" trades that for
+#: a 1e-9 tolerance contract and sub-quadratic memory/time, unlocking
+#: node counts the dense tiers cannot allocate (see DESIGN.md, "The
+#: sparse engine tier").
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Worker processes every runner's scenario sweep uses; the CLI's
@@ -41,8 +43,13 @@ def resolve_scale() -> str:
     return "reduced"
 
 
-def resolve_engine() -> str:
-    """Round-engine backend from REPRO_ENGINE (default ``"batched"``).
+def resolve_engine() -> Optional[str]:
+    """Round-engine backend from REPRO_ENGINE.
+
+    Returns ``None`` when the variable is unset, which leaves every
+    scenario on its pipeline's library default (see
+    ``repro.core.config.DEFAULT_ENGINES``); runners that record the
+    backend record ``ScenarioSpec.resolved_engine()``, never ``None``.
 
     Raises:
         ValueError: if REPRO_ENGINE is set to an unknown backend name —
@@ -51,7 +58,7 @@ def resolve_engine() -> str:
     """
     value = os.environ.get(ENGINE_ENV, "").strip().lower()
     if not value:
-        return "batched"
+        return None
     from repro.engine import available_engines
 
     if value not in available_engines():

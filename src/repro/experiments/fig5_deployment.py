@@ -87,8 +87,9 @@ def run_fig5_deployment(
         coverage_resolution: grid resolution of the coverage check.
         include_positions: embed the final node positions in the rows
             (one row per node per k) in addition to the summary rows.
-        engine: round-engine backend ("batched" or "legacy"; defaults
-            to the REPRO_ENGINE environment selection).
+        engine: round-engine backend ("batched", "legacy" or
+            "sparse"; defaults to the REPRO_ENGINE environment
+            selection, else the centralized pipeline's default).
     """
     scale = resolve_scale()
     if engine is None:
@@ -156,6 +157,6 @@ def run_fig5_deployment(
             "max_rounds": max_rounds,
             "seed": seed,
             "scale": scale,
-            "engine": engine,
+            "engine": base.resolved_engine(),
         },
     )

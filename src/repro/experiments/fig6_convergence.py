@@ -37,7 +37,8 @@ def run_fig6_convergence(
     Rows contain one entry per (k, round) with the max/min circumradius;
     the metadata carries the per-k summary (monotonicity of the max
     trace, final max/min gap, rounds to convergence).  ``engine``
-    selects the round backend (default: REPRO_ENGINE / batched).
+    selects the round backend (default: REPRO_ENGINE, else the
+    centralized pipeline's default).
     """
     scale = resolve_scale()
     if engine is None:
@@ -101,7 +102,7 @@ def run_fig6_convergence(
             "max_rounds": max_rounds,
             "seed": seed,
             "scale": scale,
-            "engine": engine,
+            "engine": base.resolved_engine(),
             "summaries": summaries,
         },
     )

@@ -114,12 +114,16 @@ def run_static_pipeline(spec: ScenarioSpec) -> Dict[str, Any]:
 def run_distributed_pipeline(spec: ScenarioSpec) -> Dict[str, Any]:
     """Message-passing protocol run with failures and message loss.
 
-    ``spec.engine`` selects the distributed round backend (``batched``
-    simulates the protocol at the round level over shared distance
-    arrays; ``legacy`` steps one scalar agent per node).  The backends
-    are bitwise identical — including the loss-model RNG draw order —
-    which is what keeps the sweep cache's engine-agnostic digest sound
-    for distributed scenarios too (see ``ScenarioSpec.digest``).
+    ``spec.engine`` selects the distributed round backend: ``sparse``
+    (the default for this pipeline) gathers over grid-bucketed
+    candidate pairs, ``batched`` simulates the protocol at the round
+    level over shared distance arrays, ``legacy`` steps one scalar
+    agent per node.  ``legacy`` and ``batched`` are bitwise identical —
+    including the loss-model RNG draw order — so they share cache
+    entries; ``sparse`` agrees with them only to the 1e-9 tolerance
+    contract (exact round counts and communication counters), so its
+    results are cached under their own digest (see
+    ``ScenarioSpec.canonical_json``).
     """
     return _run_deployment(spec)
 

@@ -23,7 +23,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.core.config import LaacadConfig
+from repro.core.config import LaacadConfig, resolve_engine_name
 from repro.network.mobility import MobilityModel
 from repro.regions.region import Region
 from repro.regions.shapes import (
@@ -41,6 +41,12 @@ from repro.regions.shapes import (
 #: serialize through ``SimulationResult.to_dict`` (payloads gained the
 #: lossless ``schema_version``/``kind``/``config`` fields).
 RESULT_SCHEMA_VERSION = 2
+
+#: Round backends held to the *bitwise* equivalence contract: a result
+#: computed on one is a valid cache hit for the other, so the digest
+#: leaves them out.  Every other backend (``sparse`` meets a 1e-9
+#: tolerance contract instead) is part of the content address.
+BITWISE_ENGINES = frozenset({"legacy", "batched"})
 
 
 def _region_from_dict(spec: Mapping[str, Any]) -> Region:
@@ -114,7 +120,9 @@ class ScenarioSpec:
         seed: the LAACAD config seed.
         placement_seed: RNG seed of the initial placement; ``None``
             means "use ``seed``".
-        engine: round-engine backend name.
+        engine: round-engine backend name; ``None`` means the
+            library default for the pipeline (see
+            :meth:`resolved_engine`).
         mobility: mobility dict (``{"max_step": 0.05}``); empty = the
             default unconstrained model.
         failures: failure dict (``{"scheduled": {"10": [0, 1]},
@@ -140,7 +148,7 @@ class ScenarioSpec:
     max_rounds: int = 200
     seed: int = 0
     placement_seed: Optional[int] = None
-    engine: str = "batched"
+    engine: Optional[str] = None
     mobility: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     failures: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     drop_probability: float = 0.0
@@ -166,22 +174,37 @@ class ScenarioSpec:
     def canonical_json(self) -> str:
         """Deterministic JSON text of the content-relevant fields.
 
-        Two fields are excluded: the ``name`` label (renaming a scenario
-        must not invalidate its cached result) and ``engine`` (round
-        backends are contractually bit-identical — enforced by the
-        engine equivalence suite — so a sweep cached under one backend
-        resolves under the other).  An intentionally approximate future
-        backend must therefore be modeled as a different pipeline or an
-        ``extra`` knob, never via ``engine``.
+        The ``name`` label is excluded (renaming a scenario must not
+        invalidate its cached result).  So is ``engine`` when it
+        resolves to one of the :data:`BITWISE_ENGINES` — those are
+        contractually bit-identical (enforced by the engine equivalence
+        suite), so a sweep cached under one resolves under the other.
+        Any other backend is recorded by its resolved name: a ``sparse``
+        result only agrees with a ``batched`` one to 1e-9, so the two
+        must never share a cache entry, and an unset ``engine`` hashes
+        like the explicit default it stands for.
         """
         payload = self.to_dict()
         payload.pop("name", None)
         payload.pop("engine", None)
+        engine = self.resolved_engine()
+        if engine not in BITWISE_ENGINES:
+            payload["engine"] = engine
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         """sha256 content address of this scenario."""
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+
+    def resolved_engine(self) -> str:
+        """The concrete round backend this scenario runs on.
+
+        ``engine`` when set, else the library default of the execution
+        mode: the distributed one for the ``"distributed"`` pipeline,
+        the centralized one for every other pipeline.
+        """
+        mode = "distributed" if self.pipeline == "distributed" else "centralized"
+        return resolve_engine_name(self.engine, mode)
 
     def replace(self, **changes: Any) -> "ScenarioSpec":
         """A copy of this spec with some fields replaced."""

@@ -41,7 +41,8 @@ class TestCentralizedShims:
         with pytest.warns(DeprecationWarning):
             runner = LaacadRunner(net, fast_config)
         assert runner.network is net
-        assert runner.config is fast_config
+        # The deployer stores the unset engine resolved to a concrete name.
+        assert runner.config == fast_config.with_engine("batched")
         assert isinstance(runner.engine, BatchedRoundEngine)
 
     def test_run_laacad_warns_and_matches_deploy(self, square):

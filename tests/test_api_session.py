@@ -32,7 +32,8 @@ class TestConstruction:
     def test_from_network_and_config(self, square, fast_config):
         sim = Simulation(network=_network(square), config=fast_config)
         assert isinstance(sim.deployer, CentralizedDeployer)
-        assert sim.config is fast_config
+        # The deployer stores the unset engine resolved to a concrete name.
+        assert sim.config == fast_config.with_engine("batched")
 
     def test_from_spec_selects_deployer_by_pipeline(self):
         assert isinstance(

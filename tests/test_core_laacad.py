@@ -26,7 +26,8 @@ class TestRunnerBasics:
         assert len(result.final_positions) == corner_network.size
         assert len(result.sensing_ranges) == corner_network.size
         assert result.max_sensing_range >= result.min_sensing_range > 0
-        assert result.config is fast_config
+        # The deployer stores the unset engine resolved to a concrete name.
+        assert result.config == fast_config.with_engine("batched")
 
     def test_network_mutated_in_place(self, corner_network, fast_config):
         initial = list(corner_network.positions())

@@ -10,18 +10,24 @@ with fixed seeds.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from repro.api import Simulation
-from repro.core.config import LaacadConfig
+from repro.core.config import DEFAULT_ENGINES, LaacadConfig, resolve_engine_name
 from repro.engine import (
     BatchedRoundEngine,
     LegacyRoundEngine,
+    SparseRoundEngine,
     available_engines,
     make_engine,
 )
+from repro.experiments.common import ENGINE_ENV, resolve_engine
+from repro.experiments.fig6_convergence import run_fig6_convergence
+from repro.runtime.engines import BatchedDistributedEngine, LegacyDistributedEngine
+from repro.runtime.sparse import SparseDistributedEngine
 from repro.network.network import SensorNetwork
 from repro.regions.shapes import (
     figure8_region_one,
@@ -169,7 +175,9 @@ class TestEngineSelection:
     def test_config_engine_validation(self):
         with pytest.raises(ValueError):
             LaacadConfig(engine="")
-        assert LaacadConfig().engine == "batched"
+        # Unset means "the library default for the pipeline" — resolved
+        # by the deployer, see TestEngineDefaults.
+        assert LaacadConfig().engine is None
         assert LaacadConfig().with_engine("legacy").engine == "legacy"
 
     def test_session_uses_configured_engine(self, square):
@@ -179,3 +187,98 @@ class TestEngineSelection:
         network2 = SensorNetwork(square, [(0.5, 0.5), (0.2, 0.8)], comm_range=0.3)
         sim2 = Simulation(network=network2, config=LaacadConfig(k=1))
         assert isinstance(sim2.deployer.engine, BatchedRoundEngine)
+
+
+class TestEngineDefaults:
+    """An unset engine resolves per pipeline; an explicit name always wins."""
+
+    CENTRALIZED = {
+        "legacy": LegacyRoundEngine,
+        "batched": BatchedRoundEngine,
+        "sparse": SparseRoundEngine,
+    }
+    DISTRIBUTED = {
+        "legacy": LegacyDistributedEngine,
+        "batched": BatchedDistributedEngine,
+        "sparse": SparseDistributedEngine,
+    }
+
+    def _session(self, square, kind, engine, **config_kwargs):
+        network = SensorNetwork.from_corner_cluster(
+            square, 10, comm_range=0.3, rng=np.random.default_rng(3)
+        )
+        config_kwargs.setdefault("k", 2)
+        config_kwargs.setdefault("epsilon", 2e-3)
+        config_kwargs.setdefault("max_rounds", 8)
+        config = LaacadConfig(engine=engine, **config_kwargs)
+        return Simulation(network=network, config=config, kind=kind)
+
+    def test_resolution_table(self):
+        assert dict(DEFAULT_ENGINES) == {
+            "centralized": "batched",
+            "distributed": "sparse",
+        }
+        assert resolve_engine_name(None, "centralized") == "batched"
+        assert resolve_engine_name(None, "distributed") == "sparse"
+        for mode in DEFAULT_ENGINES:
+            for name in ("legacy", "batched", "sparse"):
+                assert resolve_engine_name(name, mode) == name
+
+    @pytest.mark.parametrize("kind", ["laacad", "distributed"])
+    @pytest.mark.parametrize("engine", [None, "legacy", "batched", "sparse"])
+    def test_deployer_builds_resolved_backend(self, square, kind, engine):
+        sim = self._session(square, kind, engine)
+        if kind == "laacad":
+            expected, backend, table = engine or "batched", sim.deployer.engine, self.CENTRALIZED
+        else:
+            expected, backend, table = engine or "sparse", sim.deployer.protocol, self.DISTRIBUTED
+        assert sim.config.engine == expected
+        assert backend.config.engine == expected
+        assert type(backend) is table[expected]
+        if engine is not None:
+            # An explicit name needs no resolving: the caller's config is kept.
+            rebuilt = Simulation(network=sim.network, config=sim.config, kind=kind)
+            assert rebuilt.config is sim.config
+
+    def test_static_deployer_records_centralized_default(self, square):
+        assert self._session(square, "static", None).run().config.engine == "batched"
+
+    @pytest.mark.parametrize(
+        "kind, default", [("laacad", "batched"), ("distributed", "sparse")]
+    )
+    def test_results_and_checkpoints_carry_concrete_name(self, square, kind, default):
+        sim = self._session(square, kind, None)
+        sim.run(until=2)
+        payload = json.loads(json.dumps(sim.checkpoint().to_dict()))
+        assert payload["config"]["engine"] == default
+        result = sim.run()
+        assert result.config.engine == default
+        assert result.to_dict()["config"]["engine"] == default
+        assert Simulation.restore(payload).config.engine == default
+
+    def test_batched_checkpoint_resumes_on_batched(self, square):
+        # A stored name is never re-resolved: a distributed run written
+        # on explicit batched resumes on batched, not on today's default.
+        def session():
+            return self._session(
+                square, "distributed", "batched", k=1, max_rounds=14
+            )
+
+        baseline = session().run()
+        interrupted = session()
+        interrupted.run(until=5)
+        payload = json.loads(json.dumps(interrupted.checkpoint().to_dict()))
+        resumed = Simulation.restore(payload)
+        assert resumed.config.engine == "batched"
+        assert type(resumed.deployer.protocol) is BatchedDistributedEngine
+        _assert_identical(resumed.run(), baseline)
+        assert resumed.result().communication == baseline.communication
+
+    def test_repro_engine_overrides_runners(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        assert resolve_engine() is None
+        tiny = {"node_count": 8, "k_values": (1,), "max_rounds": 3}
+        assert run_fig6_convergence(**tiny).metadata["engine"] == "batched"
+        monkeypatch.setenv(ENGINE_ENV, "sparse")
+        assert resolve_engine() == "sparse"
+        assert run_fig6_convergence(**tiny).metadata["engine"] == "sparse"

@@ -353,6 +353,30 @@ class TestDistributedSparseEquivalence:
         _assert_equivalent(batched, sparse)
 
 
+class TestDistributedDefaultConvergence:
+    """The distributed pipeline's default engine, run to convergence.
+
+    The suites above stop at a round cap; this pins the whole Figure 5
+    style transient (corner cluster, k=2, ~130 rounds) on the default
+    path against explicit ``batched``.
+    """
+
+    def test_corner_cluster_converges_like_batched(self):
+        def run(engine):
+            network = SensorNetwork.from_corner_cluster(
+                unit_square(), 40, comm_range=0.25, rng=np.random.default_rng(11)
+            )
+            config = LaacadConfig(k=2, engine=engine, max_rounds=300)
+            return Simulation(network=network, config=config, kind="distributed").run()
+
+        default = run(None)
+        batched = run("batched")
+        assert default.config.engine == "sparse"
+        assert batched.config.engine == "batched"
+        assert default.converged and default.rounds_executed > 100
+        _assert_equivalent(batched, default)
+
+
 # ----------------------------------------------------------------------
 # Thread-count determinism: the worker knob is bitwise invisible
 # ----------------------------------------------------------------------

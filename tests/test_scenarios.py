@@ -38,6 +38,23 @@ class TestScenarioSpec:
         spec = ScenarioSpec(k=2)
         assert spec.digest() == spec.replace(engine="legacy").digest()
 
+    def test_sparse_digest_differs_from_batched(self):
+        # sparse meets a 1e-9 tolerance contract, not bitwise equality,
+        # so its results must never be served from a batched cache entry.
+        for pipeline in ("laacad", "distributed"):
+            spec = ScenarioSpec(k=2, pipeline=pipeline, engine="batched")
+            assert spec.digest() != spec.replace(engine="sparse").digest()
+            assert spec.digest() == spec.replace(engine="legacy").digest()
+
+    def test_unset_engine_digests_like_its_resolved_default(self):
+        distributed = ScenarioSpec(k=2, pipeline="distributed")
+        assert distributed.resolved_engine() == "sparse"
+        assert distributed.digest() == distributed.replace(engine="sparse").digest()
+        assert distributed.digest() != distributed.replace(engine="batched").digest()
+        centralized = ScenarioSpec(k=2)
+        assert centralized.resolved_engine() == "batched"
+        assert centralized.digest() == centralized.replace(engine="batched").digest()
+
     def test_override_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown scenario parameter"):
             ScenarioSpec().override("node_cout", 8)
