@@ -8,12 +8,18 @@ workloads and writes them to a committed JSON baseline.
 ``--suite pr4`` (default, writes ``BENCH_PR4.json``):
 
 * centralized round time (batched engine), N in {50, 200, 500};
-* distributed round time (legacy and batched backends), N in
+* distributed round time (legacy and sparse backends), N in
   {50, 200, 500}, uniform random deployment;
 * the N=200 k=2 corner-cluster *distributed deployment transient*
-  (6 rounds) under both backends, plus the batched-over-legacy speedup
+  (6 rounds) under both backends, plus the sparse-over-legacy speedup
   — the acceptance workload of the round-level backend;
 * wall-clock of a small serial scenario sweep (cold cache).
+
+The committed BENCH_PR4.json predates the sparse distributed backend:
+its distributed rows were recorded under ``batched``, the dense
+backend the sparse one replaced.  ``--check`` replays each such row
+against the same measurement on its successor (see
+``DISTRIBUTED_SUCCESSORS``) at the recorded bound.
 
 ``--suite sparse`` (writes ``BENCH_PR7.json``):
 
@@ -21,9 +27,10 @@ workloads and writes them to a committed JSON baseline.
   {2000, 10000, 50000} with density-scaled transmission range
   (``sqrt(12 * area / (pi * N))`` — constant expected ring population,
   the regime where the N x N wall actually bites);
-* the batched backends at N=2000 for the speedup rows (batched cannot
-  reach N=50000: the dense pairwise matrices alone would need tens of
-  gigabytes — which is the point of the tier);
+* the reference backends at N=2000 for the speedup rows — the dense
+  ``batched`` engine for centralized rounds, the ``legacy`` agents (the
+  protocol's oracle) for distributed ones; neither can reach N=50000,
+  which is the point of the tier;
 * the distributed scaling exponent ``log(t_50k / t_10k) / log(5)``,
   committed as evidence of sub-quadratic scaling.
 
@@ -112,7 +119,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -131,15 +138,27 @@ PR9_SIZES = (2000, 10000)
 TIER_COMPARE_FACTOR = 1.1
 
 ROUND_SIZES = (50, 200, 500)
-ENGINES = ("legacy", "batched")
+#: Distributed backends the PR4 suite measures.
+DISTRIBUTED_ENGINES = ("legacy", "sparse")
+#: Removed distributed backends whose recorded PR4 rows are replayed
+#: against their successor's measurement (same workload, same bound).
+DISTRIBUTED_SUCCESSORS = {"batched": "sparse"}
 
 #: Sparse-tier sizes: density-scaled gamma keeps the expected ring
 #: population constant, so round cost tracks the candidate-pair volume
 #: rather than N².  50k is far beyond the dense engines' memory wall.
 SPARSE_SIZES = (2000, 10000, 50000)
-#: Largest size the batched comparison rows run at (dense N×N beyond
-#: this is pointlessly slow on a CI runner).
+#: Largest size the reference comparison rows run at (the dense and
+#: per-agent references beyond this are pointlessly slow on a CI runner).
 SPARSE_COMPARE_SIZE = 2000
+#: Recorded sparse-suite rows that measured removed code, with why;
+#: ``--check`` prints them as retired instead of replaying them.
+RETIRED_SPARSE_ROWS = {
+    "batched_round_n2000_seconds[distributed]": (
+        "the dense distributed backend was removed; the distributed "
+        "speedup row now takes legacy as its reference"
+    ),
+}
 
 #: The canonical N=200 k=2 corner-cluster distributed transient — the
 #: round-level backend's acceptance workload.  Single source of truth,
@@ -234,8 +253,10 @@ def measure_distributed_rounds() -> Dict[str, Dict[str, float]]:
     from repro.runtime.engines import make_distributed_engine
     from repro.runtime.scheduler import SynchronousScheduler
 
-    results: Dict[str, Dict[str, float]] = {engine: {} for engine in ENGINES}
-    for engine_name in ENGINES:
+    results: Dict[str, Dict[str, float]] = {
+        engine: {} for engine in DISTRIBUTED_ENGINES
+    }
+    for engine_name in DISTRIBUTED_ENGINES:
         for n in ROUND_SIZES:
             network = _uniform_network(n)
             config = LaacadConfig(k=2, engine=engine_name)
@@ -250,7 +271,7 @@ def measure_distributed_deployment() -> Dict[str, float]:
     """The N=200 k=2 corner-cluster distributed transient (6 rounds)."""
     return {
         engine_name: _best_of(build_transient_deployment(engine_name), repeats=2)
-        for engine_name in ENGINES
+        for engine_name in DISTRIBUTED_ENGINES
     }
 
 
@@ -301,7 +322,7 @@ def collect(include_sweep: bool = True) -> Dict[str, object]:
             "centralized_round_seconds": measure_centralized_rounds(),
             "distributed_round_seconds": distributed_rounds,
             "distributed_deployment_n200_seconds": deployment,
-            "distributed_speedup_n200": deployment["legacy"] / deployment["batched"],
+            "distributed_speedup_n200": deployment["legacy"] / deployment["sparse"],
         },
     }
     if include_sweep:
@@ -369,8 +390,12 @@ def measure_sparse_distributed_rounds(sizes=SPARSE_SIZES) -> Dict[str, float]:
     return results
 
 
-def measure_batched_comparison_rounds() -> Dict[str, float]:
-    """The dense reference points for the speedup rows (N=2000 only)."""
+def measure_reference_rounds() -> Dict[str, float]:
+    """The reference points for the speedup rows (N=2000 only).
+
+    Centralized: the dense ``batched`` engine.  Distributed: the
+    ``legacy`` agents, the protocol's oracle.
+    """
     from repro.core.config import LaacadConfig
     from repro.engine import make_engine
     from repro.runtime.engines import make_distributed_engine
@@ -381,9 +406,9 @@ def measure_batched_comparison_rounds() -> Dict[str, float]:
     centralized = _best_of(engine.compute_round, repeats=2)
 
     network = _density_scaled_network(SPARSE_COMPARE_SIZE)
-    config = LaacadConfig(k=2, engine="batched")
+    config = LaacadConfig(k=2, engine="legacy")
     scheduler = SynchronousScheduler()
-    dist_engine = make_distributed_engine("batched", network, config, scheduler)
+    dist_engine = make_distributed_engine("legacy", network, config, scheduler)
     scheduler.begin_round()
     distributed = _best_of(lambda: dist_engine.run_round(0), repeats=2)
     return {"centralized": centralized, "distributed": distributed}
@@ -394,7 +419,7 @@ def collect_sparse() -> Dict[str, object]:
 
     centralized = measure_sparse_centralized_rounds()
     distributed = measure_sparse_distributed_rounds()
-    batched = measure_batched_comparison_rounds()
+    reference = measure_reference_rounds()
     n_hi, n_lo = str(SPARSE_SIZES[-1]), str(SPARSE_SIZES[-2])
     exponent = math.log(distributed[n_hi] / distributed[n_lo]) / math.log(
         SPARSE_SIZES[-1] / SPARSE_SIZES[-2]
@@ -410,10 +435,13 @@ def collect_sparse() -> Dict[str, object]:
         "workloads": {
             "sparse_centralized_round_seconds": centralized,
             "sparse_distributed_round_seconds": distributed,
-            "batched_round_n2000_seconds": batched,
-            "sparse_speedup_n2000_centralized": batched["centralized"]
+            "batched_round_n2000_seconds": {
+                "centralized": reference["centralized"]
+            },
+            "legacy_distributed_round_n2000_seconds": reference["distributed"],
+            "sparse_speedup_n2000_centralized": reference["centralized"]
             / centralized[compare],
-            "sparse_speedup_n2000_distributed": batched["distributed"]
+            "sparse_speedup_n2000_distributed": reference["distributed"]
             / distributed[compare],
             "sparse_distributed_scaling_exponent": exponent,
         },
@@ -521,6 +549,8 @@ def check_sparse(baseline_payload: Dict, factor: float) -> int:
     factor``; ``*speedup*`` keys fail below half their recorded value;
     the scaling exponent fails at quadratic (>= 2.0) regardless of the
     baseline — sub-quadratic scaling is the tier's reason to exist.
+    Rows in :data:`RETIRED_SPARSE_ROWS` are printed as retired; any
+    other recorded row the fresh measurement lacks is a failure.
     """
     baseline = baseline_payload["workloads"]
     current_payload = collect_sparse()
@@ -534,7 +564,14 @@ def check_sparse(baseline_payload: Dict, factor: float) -> int:
           f"(calibration {current_payload['calibration_seconds']:.3f}s "
           f"vs {baseline_payload['calibration_seconds']:.3f}s)\n")
 
+    def missing(label: str) -> None:
+        failures.append(label)
+        print(f"{label:55s} MISSING from the fresh measurement")
+
     for key, base_value in baseline.items():
+        if key not in current:
+            missing(key)
+            continue
         new_value = current[key]
         if "speedup" in key:
             status = "ok"
@@ -549,12 +586,20 @@ def check_sparse(baseline_payload: Dict, factor: float) -> int:
             print(f"{key:55s} baseline {base_value:8.2f}  now {new_value:8.2f}   {status}")
         elif isinstance(base_value, dict):
             for sub, base_seconds in base_value.items():
-                new_seconds = current[key][sub]
+                label = f"{key}[{sub}]"
+                if label in RETIRED_SPARSE_ROWS:
+                    print(f"{label:55s} baseline {base_seconds:8.3f}s retired: "
+                          f"{RETIRED_SPARSE_ROWS[label]}")
+                    continue
+                if sub not in new_value:
+                    missing(label)
+                    continue
+                new_seconds = new_value[sub]
                 status = "ok"
                 if new_seconds > base_seconds * scale * factor:
                     status = f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
-                    failures.append(f"{key}[{sub}]")
-                print(f"{key + '[' + sub + ']':55s} baseline {base_seconds:8.3f}s "
+                    failures.append(label)
+                print(f"{label:55s} baseline {base_seconds:8.3f}s "
                       f"now {new_seconds:8.3f}s  {status}")
         else:
             status = "ok"
@@ -1109,25 +1154,35 @@ def check(baseline_path: Path, factor: float) -> int:
             base_value,
             current["centralized_round_seconds"][n],
         )
-    for engine_name, per_size in baseline["distributed_round_seconds"].items():
+
+    def engine_label(recorded: str) -> Tuple[str, str]:
+        """(label, measured backend) of a recorded distributed row."""
+        measured = DISTRIBUTED_SUCCESSORS.get(recorded, recorded)
+        label = recorded if measured == recorded else f"{recorded}->{measured}"
+        return label, measured
+
+    for recorded, per_size in baseline["distributed_round_seconds"].items():
+        label, measured = engine_label(recorded)
         for n, base_value in per_size.items():
             compare(
-                f"distributed round [{engine_name}] n={n}",
+                f"distributed round [{label}] n={n}",
                 base_value,
-                current["distributed_round_seconds"][engine_name][n],
+                current["distributed_round_seconds"][measured][n],
             )
-    for engine_name, base_value in baseline[
+    for recorded, base_value in baseline[
         "distributed_deployment_n200_seconds"
     ].items():
+        label, measured = engine_label(recorded)
         compare(
-            f"distributed deployment n=200 [{engine_name}]",
+            f"distributed deployment n=200 [{label}]",
             base_value,
-            current["distributed_deployment_n200_seconds"][engine_name],
+            current["distributed_deployment_n200_seconds"][measured],
         )
 
     base_speedup = baseline["distributed_speedup_n200"]
     new_speedup = current["distributed_speedup_n200"]
-    print(f"{'distributed n=200 speedup (batched over legacy)':55s} "
+    # Recorded as legacy over batched; replayed as legacy over sparse.
+    print(f"{'distributed n=200 speedup (legacy over sparse)':55s} "
           f"baseline {base_speedup:7.2f}x now {new_speedup:7.2f}x")
     if new_speedup < base_speedup / 2.0:
         failures.append("distributed_speedup_n200")
@@ -1245,8 +1300,8 @@ def main(argv=None) -> int:
         dist = workloads["sparse_distributed_round_seconds"]
         print("sparse distributed round: "
               + ", ".join(f"n={n} {t:.2f}s" for n, t in dist.items()))
-        print(f"n=2000 speedup over batched: centralized "
-              f"{workloads['sparse_speedup_n2000_centralized']:.2f}x, distributed "
+        print(f"n=2000 speedup over the references: centralized (batched) "
+              f"{workloads['sparse_speedup_n2000_centralized']:.2f}x, distributed (legacy) "
               f"{workloads['sparse_speedup_n2000_distributed']:.2f}x")
         print(f"distributed scaling exponent (10k -> 50k): "
               f"{workloads['sparse_distributed_scaling_exponent']:.2f}")
@@ -1259,7 +1314,7 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
     print(f"distributed n=200 transient: "
           f"legacy {workloads['distributed_deployment_n200_seconds']['legacy']:.2f}s, "
-          f"batched {workloads['distributed_deployment_n200_seconds']['batched']:.2f}s "
+          f"sparse {workloads['distributed_deployment_n200_seconds']['sparse']:.2f}s "
           f"({workloads['distributed_speedup_n200']:.2f}x)")
     return 0
 

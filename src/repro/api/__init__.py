@@ -16,10 +16,6 @@ run goes through this package (see DESIGN.md, "The API layer"):
   restoring bitwise-identically;
 * probes in :mod:`repro.api.observers` — coverage/energy/convergence
   measured live instead of recomputed from final state.
-
-The old entry points (``run_laacad``, direct ``LaacadRunner`` /
-``DistributedLaacadRunner`` construction) remain as thin shims that
-emit :class:`DeprecationWarning` and delegate here.
 """
 
 from repro.api.checkpoint import (

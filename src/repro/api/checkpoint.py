@@ -19,8 +19,10 @@ thin wrappers over this module.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
@@ -98,6 +100,29 @@ def rng_state_to_dict(rng: np.random.Generator) -> Dict[str, Any]:
     )
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically, safe for concurrent writers.
+
+    The text goes to a uniquely named temporary file in the target's
+    directory (same filesystem, so the rename is atomic), which then
+    replaces ``path`` in one ``os.replace``.  Two writers of the same
+    path each rename their own complete file: a reader sees one whole
+    payload or the other, never a torn one, and no writer can rename a
+    temporary file another writer already moved.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def rng_from_state(state: Mapping[str, Any]) -> np.random.Generator:
     """Rebuild a numpy Generator positioned exactly at a saved state."""
     bit_generator_cls = getattr(np.random, state["bit_generator"])
@@ -170,11 +195,9 @@ class SimulationCheckpoint:
         """Atomically write the checkpoint to ``path`` (parents created)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
         text = self.to_json()
         self._nbytes = len(text.encode("utf-8"))
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        atomic_write_text(path, text)
         return path
 
     @classmethod

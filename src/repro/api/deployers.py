@@ -8,10 +8,8 @@ ranges and produces a :class:`~repro.api.results.SimulationResult`.
 The three built-ins unify every execution path the codebase used to
 expose through divergent run-to-completion monoliths:
 
-* :class:`CentralizedDeployer` — Algorithm 1 with global knowledge
-  (the old ``LaacadRunner.run`` loop, now steppable);
-* :class:`DistributedDeployer` — the message-passing protocol
-  (the old ``DistributedLaacadRunner.run`` loop, now steppable);
+* :class:`CentralizedDeployer` — Algorithm 1 with global knowledge;
+* :class:`DistributedDeployer` — the message-passing protocol;
 * :class:`StaticDeployer` — no movement, ranges sized to the
   dominating regions (the lifetime baselines).
 
@@ -96,11 +94,8 @@ class Deployer(abc.ABC):
         #: The run configuration, with ``engine`` always a concrete
         #: backend name — a stored name is never re-resolved, so a
         #: restored checkpoint keeps the backend it was written with.
-        self.config = (
-            config
-            if config.engine is not None
-            else config.with_engine(resolve_engine_name(None, self.mode))
-        )
+        engine = resolve_engine_name(config.engine, self.mode)
+        self.config = config if engine == config.engine else config.with_engine(engine)
         self.mobility = mobility if mobility is not None else MobilityModel()
         self._initial_positions: List[Point] = list(network.positions())
         self._history: List[RoundStats] = []
@@ -248,9 +243,9 @@ class Deployer(abc.ABC):
 class CentralizedDeployer(Deployer):
     """Algorithm 1 with global knowledge, driven round by round.
 
-    The per-round order of operations is exactly the old
-    ``LaacadRunner.run`` loop; the engine backend is selected by
-    ``config.engine`` as before.
+    Per round: region computation → statistics → convergence check →
+    synchronous move; the engine backend is selected by
+    ``config.engine``.
     """
 
     kind = "laacad"
@@ -404,23 +399,20 @@ class CentralizedDeployer(Deployer):
 class DistributedDeployer(Deployer):
     """The message-passing protocol, driven round by round.
 
-    The per-round order of operations is exactly the old
-    ``DistributedLaacadRunner.run`` loop: failure injection, the
-    expanding-ring gather + region computation for every node (ring
-    queries and position replies accounted — and loss-sampled —
-    through the scheduler), statistics, convergence check, simultaneous
-    move application.
+    Per round: failure injection, the expanding-ring gather + region
+    computation for every node (ring queries and position replies
+    accounted — and loss-sampled — through the scheduler), statistics,
+    convergence check, simultaneous move application.
 
     The gather/compute phase is delegated to a pluggable
     :class:`~repro.runtime.engines.DistributedRoundEngine` selected by
     ``config.engine`` — ``"sparse"`` (the default for this pipeline)
-    gathers over grid-bucketed candidate pairs, ``"batched"`` simulates
-    the protocol at the round level over shared distance arrays,
-    ``"legacy"`` executes one scalar agent per node.  ``legacy`` and
-    ``batched`` are bitwise identical, including the scheduler RNG draw
-    order on lossy channels (see ``repro.runtime.engines``); ``sparse``
-    meets the 1e-9 tolerance contract with exact communication counters
-    (see ``repro.runtime.sparse``).
+    gathers over grid-bucketed candidate pairs, ``"legacy"`` executes
+    one scalar agent per node and is the reference.  ``sparse`` meets
+    the 1e-9 tolerance contract against ``legacy`` with exact
+    communication counters, including the scheduler RNG draw order on
+    lossy channels (see ``repro.runtime.sparse``).  The dense
+    ``"batched"`` backend is centralized-only and is rejected here.
     """
 
     kind = "distributed"
@@ -449,44 +441,9 @@ class DistributedDeployer(Deployer):
         self.protocol = make_distributed_engine(
             self.config.engine, network, self.config, self.scheduler
         )
-        self._compat_agents: Optional[Dict[int, Any]] = None
         #: False right after a restore: the engine's last regions are gone
         #: and must be refreshed before sensing ranges can be finalized.
         self._have_regions = True
-
-    @property
-    def agents(self) -> Dict[int, Any]:
-        """Per-node protocol agents (legacy introspection surface).
-
-        The ``legacy`` engine genuinely executes through these; the
-        ``batched`` and ``sparse`` engines simulate at the round level,
-        so for them the dict is materialised lazily — same keys, same construction —
-        and *hydrated* from the engine's last round on every access:
-        each agent's ``last_region``, ``displacement`` and
-        ``proposed_target`` reflect the run exactly as the executed
-        agents would (the deprecated ``DistributedLaacadRunner.agents``
-        accessor keeps reading real state).
-        """
-        agents = getattr(self.protocol, "agents", None)
-        if agents is not None:
-            return agents
-        if self._compat_agents is None:
-            from repro.runtime.protocol import LaacadAgent
-
-            self._compat_agents = {
-                node.node_id: LaacadAgent(
-                    node.node_id, self.network, self.scheduler, self.config
-                )
-                for node in self.network.nodes
-            }
-        engine_round = self.protocol.last_round
-        if engine_round is not None:
-            displacements = dict(zip(engine_round.regions, engine_round.displacements))
-            for node_id, agent in self._compat_agents.items():
-                agent.last_region = engine_round.regions.get(node_id)
-                agent.displacement = displacements.get(node_id, 0.0)
-                agent.proposed_target = engine_round.proposed_targets.get(node_id)
-        return self._compat_agents
 
     def step(self) -> RoundEvent:
         round_index = self._require_active()

@@ -1,9 +1,8 @@
 """Typed, lossless, versioned result types of the v1 public API.
 
 :class:`SimulationResult` is *the* result of every deployment run —
-centralized, distributed and static alike.  It is the evolution of the
-old ``LaacadResult`` (which is now an alias): same core fields and
-derived properties, plus
+centralized, distributed and static alike: the core fields and
+derived properties of a LAACAD run, plus
 
 * a ``kind`` tag identifying which deployer produced it,
 * optional communication accounting and failure bookkeeping for
@@ -18,8 +17,9 @@ derived properties, plus
 
 The per-round statistics types (:class:`RoundStats`,
 :class:`DistributedRoundStats`) live here as well — they are part of
-the public event/result surface; ``repro.core.laacad`` and
-``repro.runtime.protocol`` re-export them for backwards compatibility.
+the public event/result surface; ``repro`` and ``repro.core``
+re-export :class:`RoundStats`, ``repro.runtime`` re-exports
+:class:`DistributedRoundStats`.
 """
 
 from __future__ import annotations
@@ -132,10 +132,8 @@ def _tuple_points(points) -> List[Point]:
 class SimulationResult:
     """Outcome of one deployment run, for every deployer kind.
 
-    The first eight fields are exactly the old ``LaacadResult`` layout
-    (the class is a drop-in replacement and ``LaacadResult`` aliases
-    it); the trailing fields carry the deployer kind and the
-    distributed-only extras.
+    The first eight fields describe any LAACAD run; the trailing fields
+    carry the deployer kind and the distributed-only extras.
     """
 
     config: Optional["LaacadConfig"]
@@ -151,7 +149,7 @@ class SimulationResult:
     killed_nodes: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
-    # Derived quantities (unchanged from LaacadResult)
+    # Derived quantities
     # ------------------------------------------------------------------
     @property
     def max_sensing_range(self) -> float:

@@ -71,7 +71,7 @@ class Simulation:
       distributed extras (``drop_probability``, ``failure_injector``,
       ``rng``) apply when ``kind="distributed"``.
     * ``Simulation(region=..., positions=..., config=...)`` — builds the
-      network for you (the old ``run_laacad`` convenience).
+      network for you.
     * ``Simulation(node_count=40, k=2, ...)`` — any
       :class:`~repro.scenarios.spec.ScenarioSpec` fields as kwargs.
 
@@ -461,7 +461,7 @@ def deploy(
     comm_range: float = 0.25,
     mobility: Optional[MobilityModel] = None,
 ) -> SimulationResult:
-    """One-call centralized deployment (the ``run_laacad`` replacement)."""
+    """One-call centralized deployment: a fresh network, run to completion."""
     return Simulation(
         region=region,
         positions=initial_positions,

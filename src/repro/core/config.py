@@ -23,7 +23,19 @@ def resolve_engine_name(engine: Optional[str], mode: str) -> str:
     ``"distributed"``.  An explicit name always wins (it is validated
     later, by the engine registry); ``None`` selects the mode's entry in
     :data:`DEFAULT_ENGINES`.
+
+    Raises:
+        ValueError: for ``"batched"`` in distributed mode: the name is
+            centralized-only.  It is rejected here, never remapped, so a
+            deployer, a spec digest (and with it a sweep cache lookup)
+            and a checkpoint restore all fail the same way.
     """
+    if engine == "batched" and mode == "distributed":
+        raise ValueError(
+            "engine 'batched' is centralized-only; distributed runs take "
+            "'legacy' (bitwise identical to the removed distributed "
+            "'batched' backend) or 'sparse'"
+        )
     return engine if engine is not None else DEFAULT_ENGINES[mode]
 
 
@@ -60,22 +72,22 @@ class LaacadConfig:
             displacements below ``epsilon`` required before declaring
             convergence; 1 reproduces the paper's stopping rule.
         engine: which round-execution backend drives the deployment:
-            ``"batched"`` (array-native — the vectorized centralized
-            engine in ``repro.engine`` and, for distributed runs, the
-            round-level protocol engine in ``repro.runtime.engines``),
-            ``"legacy"`` (the original per-node scalar paths), or
-            ``"sparse"`` (grid-bucketed candidate pairs and chunked
-            kernels, never materialising an N×N matrix — the tier for
-            N in the tens of thousands).  ``None`` (the default) means
-            "the library default for this execution mode" — see
-            :data:`DEFAULT_ENGINES`; every deployer replaces it with
-            the concrete name when it is built, so results and
-            checkpoints always record one.  ``legacy`` and ``batched``
-            are bitwise identical; ``sparse`` is held to a 1e-9
-            tolerance contract with identical round counts and exact
+            ``"legacy"`` (the original per-node scalar paths — the
+            reference of both modes), ``"sparse"`` (grid-bucketed
+            candidate pairs and chunked kernels, never materialising an
+            N×N matrix — the tier for N in the tens of thousands), or,
+            for centralized runs only, ``"batched"`` (the vectorized
+            dense engine in ``repro.engine``; a distributed run rejects
+            it).  ``None`` (the default) means "the library default for
+            this execution mode" — see :data:`DEFAULT_ENGINES`; every
+            deployer replaces it with the concrete name when it is
+            built, so results and checkpoints always record one.
+            Centralized ``legacy`` and ``batched`` are bitwise
+            identical; ``sparse`` is held to a 1e-9 tolerance contract
+            against ``legacy`` with identical round counts and exact
             communication counters (see DESIGN.md, "The sparse engine
-            tier").  Orthogonal to ``use_localized``, which selects
-            how each individual region is computed.
+            tier").  Orthogonal to ``use_localized``, which selects how
+            each individual region is computed.
     """
 
     k: int = 1

@@ -2,8 +2,9 @@
 
 A *round engine* computes, for one synchronous LAACAD round, every alive
 node's dominating region (and, derived from it, the Chebyshev centers
-and the per-round statistics the runner records).  The runner in
-``repro.core.laacad`` is engine-agnostic: it asks the configured engine
+and the per-round statistics the deployer records).  The
+:class:`~repro.api.deployers.CentralizedDeployer` is engine-agnostic:
+it asks the configured engine
 for an :class:`EngineRound` and only keeps the movement / convergence /
 bookkeeping logic for itself.
 

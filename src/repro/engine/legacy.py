@@ -1,8 +1,9 @@
 """The original per-node round computation behind the engine protocol.
 
-This is, verbatim, the region loop ``LaacadRunner`` used to inline:
-every alive node independently runs either the exact global computation
-(with the Lemma-1 pre-filter) or the Algorithm-2 expanding ring.  It is
+This is, verbatim, the region loop the original run-to-completion
+driver inlined: every alive node independently runs either the exact
+global computation (with the Lemma-1 pre-filter) or the Algorithm-2
+expanding ring.  It is
 kept as the reference backend: the equivalence suite asserts the
 batched engine reproduces its results bitwise.
 """

@@ -209,10 +209,12 @@ def run_protocol_overhead(
 ) -> ExperimentResult:
     """Communication cost of the distributed protocol per round.
 
-    ``engine`` selects the distributed round backend (default:
-    REPRO_ENGINE, else the distributed pipeline's default, sparse);
-    every backend produces identical counters, so this only affects
-    wall-clock time and float noise far below the 1e-9 contract.
+    ``engine`` selects the distributed round backend, ``"legacy"`` or
+    ``"sparse"`` (default: REPRO_ENGINE, else the distributed
+    pipeline's default, sparse); both produce identical counters, so
+    this only affects wall-clock time and float noise far below the
+    1e-9 contract.  ``"batched"`` is centralized-only and raises
+    ValueError.
     """
     if engine is None:
         engine = resolve_engine()

@@ -100,8 +100,10 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "Round-engine backend for the LAACAD runs (default: batched "
             "for centralized runs, sparse for distributed ones). "
-            "batched and legacy are bitwise identical; sparse matches "
-            "them within 1e-9 and scales sub-quadratically to large N."
+            "batched is centralized-only (a distributed run rejects it; "
+            "legacy is its bitwise-identical replacement there); sparse "
+            "matches legacy within 1e-9 and scales sub-quadratically to "
+            "large N."
         ),
     )
     parser.add_argument(

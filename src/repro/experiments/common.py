@@ -16,14 +16,16 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 
 #: Environment variable selecting the round-engine backend every
-#: experiment runner uses ("batched", "legacy" or "sparse"); the CLI's
-#: ``--engine`` flag sets it.  Unset, each pipeline runs on its library
-#: default (``repro.core.config.DEFAULT_ENGINES``: batched for
-#: centralized runs, sparse for distributed ones).  "batched" and
-#: "legacy" produce bitwise identical results; "sparse" trades that for
-#: a 1e-9 tolerance contract and sub-quadratic memory/time, unlocking
-#: node counts the dense tiers cannot allocate (see DESIGN.md, "The
-#: sparse engine tier").
+#: experiment runner uses ("legacy", "sparse" or, centralized-only,
+#: "batched"); the CLI's ``--engine`` flag sets it.  Unset, each
+#: pipeline runs on its library default
+#: (``repro.core.config.DEFAULT_ENGINES``: batched for centralized runs,
+#: sparse for distributed ones).  "batched" on a distributed runner
+#: raises ValueError — "legacy" is its bitwise-identical replacement.
+#: Centralized "batched" and "legacy" produce bitwise identical
+#: results; "sparse" trades that for a 1e-9 tolerance contract and
+#: sub-quadratic memory/time, unlocking node counts the dense tier
+#: cannot allocate (see DESIGN.md, "The sparse engine tier").
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Worker processes every runner's scenario sweep uses; the CLI's

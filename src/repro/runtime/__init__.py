@@ -1,13 +1,19 @@
 """Distributed runtime: message-passing execution of LAACAD.
 
-The centralized driver in :mod:`repro.core.laacad` evaluates the
-geometry directly.  This package executes the same algorithm as a
-*protocol*: every node is an agent that, once per period, floods a
-position query through its expanding ring, receives replies hop by hop,
-computes its dominating region from the replies only, and moves.  The
-scheduler is synchronous (round = the paper's period ``tau``) and every
-message is accounted for, which yields the communication-overhead data
-the localized design is meant to minimise.
+The centralized deployer (:class:`repro.api.deployers.CentralizedDeployer`)
+evaluates the geometry directly.  This package executes the same
+algorithm as a *protocol*: every node is an agent that, once per period,
+floods a position query through its expanding ring, receives replies hop
+by hop, computes its dominating region from the replies only, and moves.
+The scheduler is synchronous (round = the paper's period ``tau``) and
+every message is accounted for, which yields the communication-overhead
+data the localized design is meant to minimise.
+
+A round runs on one of two backends: ``legacy``
+(:class:`LegacyDistributedEngine`, one scalar agent per node — the
+reference) or ``sparse`` (:class:`SparseDistributedEngine`, grid-fed
+round-level execution — the default).  Drive either through
+:class:`repro.api.Simulation` with ``kind="distributed"``.
 
 Failure injection (node crashes, reply losses) is layered on top so the
 robustness of k-coverage under failures can be studied — the motivation
@@ -18,7 +24,6 @@ from repro.runtime.messages import Message, MessageKind
 from repro.runtime.scheduler import SynchronousScheduler, CommunicationStats
 from repro.runtime.agent import NodeAgent
 from repro.runtime.engines import (
-    BatchedDistributedEngine,
     DistributedEngineRound,
     DistributedRoundEngine,
     LegacyDistributedEngine,
@@ -27,7 +32,7 @@ from repro.runtime.engines import (
     register_distributed_engine,
 )
 from repro.runtime.sparse import SparseDistributedEngine
-from repro.runtime.protocol import DistributedLaacadRunner, DistributedRoundStats
+from repro.runtime.protocol import DistributedRoundStats
 from repro.runtime.failures import FailureInjector
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "SynchronousScheduler",
     "CommunicationStats",
     "NodeAgent",
-    "BatchedDistributedEngine",
     "DistributedEngineRound",
     "DistributedRoundEngine",
     "LegacyDistributedEngine",
@@ -44,7 +48,6 @@ __all__ = [
     "available_distributed_engines",
     "make_distributed_engine",
     "register_distributed_engine",
-    "DistributedLaacadRunner",
     "DistributedRoundStats",
     "FailureInjector",
 ]

@@ -1,10 +1,10 @@
 """Sparse distributed backend: grid-fed rings, cross-node clipping.
 
-:class:`~repro.runtime.engines.BatchedDistributedEngine` removed the
-per-message Python of the legacy agents but kept two scalability walls:
-the dense N×N distance matrices and a Python loop that walks every
-node's expanding-ring schedule (and budgeted clipping sweep) one node
-at a time.  This backend removes both:
+The production backend of the message-passing protocol (the
+distributed pipeline's default).  Its oracle is
+:class:`~repro.runtime.engines.LegacyDistributedEngine`, whose agents
+walk every node's expanding ring message by message.  This backend
+executes the same protocol at the round level:
 
 * candidates come from :class:`~repro.network.neighbors.SpatialGrid`
   batch queries — the grid is built with the same cell size the scan
@@ -18,44 +18,75 @@ at a time.  This backend removes both:
   one vectorised Algorithm-2 circle check retires all dominated nodes
   at once.  No RNG is consumed on a loss-free channel, so draw order
   is trivially preserved;
-* with a **lossy channel** the engine falls back to the per-node,
-  draw-exact ring walk of the batched backend (via the shared
-  ``_expanding_rings``), feeding it candidates lazily from the grid
-  instead of a dense matrix row — the RNG draw-order contract of
-  ``repro.runtime.engines`` holds bit for bit;
-* the per-node budgeted clipping sweeps are replaced by one
+* with a **lossy channel** the engine walks each node's rings in turn
+  (``_expanding_rings``), fetching candidates lazily from the grid with
+  a doubling horizon — the RNG draw-order contract below holds bit for
+  bit;
+* the per-node clipping sweeps are replaced by one
   :func:`~repro.engine.sparse_kernels.clip_cells_batch` call over all
   nodes, and the per-round summary (Chebyshev centers, displacements,
   move proposals) by :func:`~repro.engine.sparse_kernels.mec_batch`.
 
+The RNG draw-order contract
+---------------------------
+With a lossy channel, *which* reply is dropped is decided by one
+``Generator.random()`` draw per transmission, so exact communication
+counters require this backend to consume the scheduler RNG
+draw-for-draw in the legacy agents' order.  That order is:
+
+1. nodes step in ascending node-id order (dead nodes draw nothing);
+2. per node, rings expand by ``gamma * ring_granularity`` per step and
+   a ring's members are visited in the spatial grid's scan order —
+   ascending ``(cell_x, cell_y, node_id)`` with ``cell =
+   floor(coordinate / cell_size)`` — restricted to alive non-self nodes
+   within ``dist_sq <= rho^2 + 1e-15`` (the grid's inclusion test);
+3. per not-yet-known member: one draw for the flooded query, one for
+   the reply (a dropped reply leaves the member unknown, so it is
+   re-attempted — two more draws — in every later ring).
+
+The lossy gather reproduces (2) by querying a grid with the contract's
+cell size (its bucket walk *is* the scan order) and (3) by drawing all
+of a ring's samples with a single ``Generator.random(2 * attempts)``
+call, which produces the identical stream as that many scalar calls.
+
 Numerical contract: **tolerance, not bitwise** (DESIGN.md "Sparse
-engine tier") — positions/ranges/areas within 1e-9 of the batched
-backend, identical convergence behaviour on the reference scenarios.
-The gather decisions themselves (ring membership, hop counts, circle
-checks, loss draws) reuse the exact arithmetic of the batched backend,
-so the tolerance enters only through the fused clipping and the MEC.
+engine tier") — positions/ranges/areas within 1e-9 of the legacy
+backend, identical round counts and exact communication counters
+(``tests/test_engine_sparse_equivalence.py``).  The gather decisions
+themselves (ring membership, hop counts, circle checks, loss draws)
+reuse the legacy agent's arithmetic, so the tolerance enters only
+through the fused clipping, the MEC and the squared-distance "closer"
+test of the level-synchronous circle check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import math
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.jit_kernels import closer_counts, kernel_tier, segment_ids
-from repro.engine.kernels import kernel_threads
+from repro.engine.kernels import BatchedRegionContainment, kernel_threads
 from repro.engine.pieces import LazyRegions, materialize_pieces
 from repro.engine.profiling import StageTimer
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
+from repro.geometry.primitives import Point
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
 from repro.runtime.engines import (
-    BatchedDistributedEngine,
     DistributedEngineRound,
+    DistributedRoundEngine,
     register_distributed_engine,
     summarize_protocol_round,
 )
+from repro.runtime.messages import POSITION_REPORT_BYTES, RING_QUERY_BYTES
 from repro.voronoi.dominating import DominatingRegion
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import LaacadConfig
+    from repro.network.network import SensorNetwork
+    from repro.runtime.scheduler import SynchronousScheduler
 
 __all__ = ["SparseDistributedEngine"]
 
@@ -80,16 +111,36 @@ def _extend_schedule(rhos: List[float], thresholds: List[float], upto: int, step
         thresholds.append(rho * rho + 1e-15)
 
 
-#: Historic name: the lazy regions dict now lives in
-#: :mod:`repro.engine.pieces`, shared with the centralized sparse tier.
-_LazyRegions = LazyRegions
-
-
 @register_distributed_engine
-class SparseDistributedEngine(BatchedDistributedEngine):
+class SparseDistributedEngine(DistributedRoundEngine):
     """Grid-bucketed, level-synchronous protocol rounds."""
 
     name = "sparse"
+
+    def __init__(
+        self,
+        network: "SensorNetwork",
+        config: "LaacadConfig",
+        scheduler: "SynchronousScheduler",
+    ) -> None:
+        super().__init__(network, config, scheduler)
+        # Sample directions of the Algorithm-2 half-radius circle check,
+        # computed with math.cos/math.sin so the sample points are
+        # bitwise the legacy agent's.
+        samples = config.circle_check_samples
+        self._circle_cos = np.asarray(
+            [math.cos(2.0 * math.pi * i / samples) for i in range(samples)]
+        )
+        self._circle_sin = np.asarray(
+            [math.sin(2.0 * math.pi * i / samples) for i in range(samples)]
+        )
+        # Interleaved (query, reply) sizes, tiled per ring batch.
+        self._exchange_sizes = np.asarray(
+            [RING_QUERY_BYTES, POSITION_REPORT_BYTES], dtype=np.int64
+        )
+        # Vectorised free-area containment for the circle samples,
+        # decision-exact against region.contains.
+        self._containment = BatchedRegionContainment(network.region)
 
     # ------------------------------------------------------------------
     def run_round(self, round_index: int) -> DistributedEngineRound:
@@ -107,8 +158,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         alive_rows = np.nonzero(alive)[0].astype(np.int64)
         if alive_rows.size == 0:
             self.last_regions = {}
-            self.last_round = summarize_protocol_round(network, config, {})
-            return self.last_round
+            return summarize_protocol_round(network, config, {})
 
         # Same cell size as the scan-order contract: bucket-walk order
         # IS the legacy ring-member visiting order.
@@ -127,7 +177,6 @@ class SparseDistributedEngine(BatchedDistributedEngine):
             positions, alive_rows, known_ids, known_indptr, rho_final, area_pieces
         )
         self.last_regions = round_summary.regions
-        self.last_round = round_summary
         return round_summary
 
     # ------------------------------------------------------------------
@@ -426,11 +475,10 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         """Per-node expanding rings with lazily fetched candidates.
 
         Dropped replies are retried ring after ring, so the RNG must be
-        consumed node by node in the legacy order — the shared
-        ``_expanding_rings`` walk does exactly that; this wrapper only
-        replaces its candidate source (a dense matrix row in the
-        batched backend) with expanding spatial-grid fetches, whose
-        scan order is the contract order by construction.
+        consumed node by node in the legacy order — the
+        ``_expanding_rings`` walk does exactly that; this wrapper feeds
+        it candidates from expanding spatial-grid fetches, whose scan
+        order is the contract order by construction.
         """
         count = positions.shape[0]
         px = positions[:, 0]
@@ -479,7 +527,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
                 cand_hops,
                 step,
                 max_radius,
-                extend=extend,
+                extend,
             )
             delivered = state["ids"][known_order] if known_order else np.zeros(
                 0, dtype=np.int64
@@ -492,6 +540,106 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         )
         known_indptr = np.concatenate(([0], np.cumsum(known_counts))).astype(np.int64)
         return known_ids, known_indptr, rho_final
+
+    def _expanding_rings(
+        self,
+        site: Point,
+        cand_positions: np.ndarray,
+        cand_dist_sq: np.ndarray,
+        cand_hops: np.ndarray,
+        step: float,
+        max_radius: float,
+        extend: Callable[
+            [float],
+            Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        ],
+    ) -> Tuple[List[int], float]:
+        """Algorithm 2's information gathering for one node, draw-exact.
+
+        Returns the candidate indices whose replies were delivered, in
+        delivery order (ring by ring, scan order within a ring — the
+        legacy ``known_positions`` dict insertion order), and the final
+        ring radius.
+
+        ``extend`` grows the candidate arrays lazily as the ring
+        expands.  It is called with the new ring radius and returns
+        either ``None`` (current arrays still cover the ring) or
+        ``(positions, dist_sq, hops, remap)`` where ``remap`` maps old
+        candidate rows to rows of the new arrays — the new arrays must
+        contain the old candidates in scan order so the RNG draw-order
+        contract is preserved.
+        """
+        scheduler = self.scheduler
+        sizes = self._exchange_sizes
+        known_mask = np.zeros(cand_dist_sq.shape[0], dtype=bool)
+        known_order: List[int] = []
+        known_dirty = True
+        known_positions = cand_positions[:0]
+        rho = 0.0
+        while True:
+            rho += step
+            grown = extend(rho)
+            if grown is not None:
+                cand_positions, cand_dist_sq, cand_hops, remap = grown
+                new_mask = np.zeros(cand_dist_sq.shape[0], dtype=bool)
+                new_mask[remap[known_mask]] = True
+                known_mask = new_mask
+                known_order = [int(remap[i]) for i in known_order]
+                known_dirty = True
+            # The grid's inclusion test: dist_sq <= radius^2 + 1e-15.
+            attempts = np.nonzero(
+                (cand_dist_sq <= rho * rho + 1e-15) & ~known_mask
+            )[0]
+            if attempts.size:
+                delivered = scheduler.record_many(
+                    np.repeat(cand_hops[attempts], 2),
+                    np.tile(sizes, attempts.size),
+                )
+                got = attempts[delivered[1::2]]
+                if got.size:
+                    known_mask[got] = True
+                    known_order.extend(got.tolist())
+                    known_dirty = True
+            if known_dirty:
+                known_positions = cand_positions[known_order]
+                known_dirty = False
+            if self._circle_dominated(site, rho / 2.0, known_positions):
+                break
+            if rho >= max_radius:
+                break
+        return known_order, rho
+
+    def _circle_dominated(
+        self, site: Point, radius: float, neighbor_positions: np.ndarray
+    ) -> bool:
+        """Vectorised Algorithm-2 half-radius check, decision-exact.
+
+        Sample points are ``site + radius * (cos, sin)`` from the
+        math-library tables; containment runs through the batched
+        free-area kernel (decision-exact against ``region.contains``);
+        the closer-than-me counting compares ``np.hypot`` distances
+        against ``own_distance - 1e-12`` exactly like the scalar loop
+        (rule 2 of the kernels' numerical contract covers the 1-ulp
+        hypot latitude — the 1e-12 tolerance dwarfs it).
+        """
+        sample_x = site[0] + radius * self._circle_cos
+        sample_y = site[1] + radius * self._circle_sin
+        inside = self._containment.contains(sample_x, sample_y)
+        if not inside.any():
+            return True
+        if neighbor_positions.shape[0] == 0:
+            return False
+        vx = sample_x[inside]
+        vy = sample_y[inside]
+        own_distance = np.hypot(site[0] - vx, site[1] - vy)
+        closer = (
+            np.hypot(
+                neighbor_positions[:, 0][None, :] - vx[:, None],
+                neighbor_positions[:, 1][None, :] - vy[:, None],
+            )
+            < (own_distance - 1e-12)[:, None]
+        ).sum(axis=1)
+        return bool(np.all(closer >= self.config.k))
 
     # ------------------------------------------------------------------
     # Shared compute phase: cross-node clip + vectorised summary
@@ -532,8 +680,8 @@ class SparseDistributedEngine(BatchedDistributedEngine):
                 k,
             )
 
-        # Region polygons (read by the deployer's result() and the
-        # compat agent surface) are materialised lazily on first access.
+        # Region polygons (read by the deployer's result()) are
+        # materialised lazily on first access.
         known_count = np.diff(known_indptr)
 
         def build_regions() -> Dict[int, DominatingRegion]:

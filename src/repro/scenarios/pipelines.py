@@ -116,14 +116,12 @@ def run_distributed_pipeline(spec: ScenarioSpec) -> Dict[str, Any]:
 
     ``spec.engine`` selects the distributed round backend: ``sparse``
     (the default for this pipeline) gathers over grid-bucketed
-    candidate pairs, ``batched`` simulates the protocol at the round
-    level over shared distance arrays, ``legacy`` steps one scalar
-    agent per node.  ``legacy`` and ``batched`` are bitwise identical —
-    including the loss-model RNG draw order — so they share cache
-    entries; ``sparse`` agrees with them only to the 1e-9 tolerance
-    contract (exact round counts and communication counters), so its
-    results are cached under their own digest (see
-    ``ScenarioSpec.canonical_json``).
+    candidate pairs, ``legacy`` steps one scalar agent per node.
+    ``sparse`` agrees with ``legacy`` to the 1e-9 tolerance contract
+    (exact round counts and communication counters, including the
+    loss-model RNG draw order), so the two are cached under different
+    digests (see ``ScenarioSpec.canonical_json``).  ``batched`` is
+    centralized-only and raises ValueError.
     """
     return _run_deployment(spec)
 

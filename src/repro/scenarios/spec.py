@@ -45,7 +45,9 @@ RESULT_SCHEMA_VERSION = 2
 #: Round backends held to the *bitwise* equivalence contract: a result
 #: computed on one is a valid cache hit for the other, so the digest
 #: leaves them out.  Every other backend (``sparse`` meets a 1e-9
-#: tolerance contract instead) is part of the content address.
+#: tolerance contract instead) is part of the content address.  Only
+#: the centralized pipelines run ``batched``; a distributed spec naming
+#: it fails in :meth:`ScenarioSpec.resolved_engine`.
 BITWISE_ENGINES = frozenset({"legacy", "batched"})
 
 
@@ -298,34 +300,6 @@ class ScenarioSpec:
         from repro.api.session import Simulation
 
         return Simulation.from_spec(self)
-
-    def build_runner(self):
-        """Deprecated: a centralized ``LaacadRunner`` over a fresh network.
-
-        Constructing the runner emits a :class:`DeprecationWarning`; use
-        :meth:`simulation` instead.
-        """
-        from repro.core.laacad import LaacadRunner
-
-        return LaacadRunner(
-            self.build_network(), self.build_config(), mobility=self.build_mobility()
-        )
-
-    def build_distributed_runner(self):
-        """Deprecated: a ``DistributedLaacadRunner`` with this spec's failures.
-
-        Constructing the runner emits a :class:`DeprecationWarning`; use
-        :meth:`simulation` (with ``pipeline="distributed"``) instead.
-        """
-        from repro.runtime.protocol import DistributedLaacadRunner
-
-        return DistributedLaacadRunner(
-            self.build_network(),
-            self.build_config(),
-            mobility=self.build_mobility(),
-            drop_probability=self.drop_probability,
-            failure_injector=self.build_failure_injector(),
-        )
 
     # ------------------------------------------------------------------
     # Execution

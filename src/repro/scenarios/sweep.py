@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.checkpoint import atomic_write_text
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.scenarios.spec import RESULT_SCHEMA_VERSION, ScenarioSpec
@@ -177,9 +178,7 @@ class SweepRunner:
             "spec_json": spec.canonical_json(),
             "result": result,
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=2))
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(payload, indent=2))
         return path
 
     # ------------------------------------------------------------------

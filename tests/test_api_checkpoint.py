@@ -10,6 +10,7 @@ round engines and both region back-ends, for centralized and distributed
 
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -244,6 +245,64 @@ class TestSweepCheckpointing:
 
         assert CHECKPOINT_DIR_ENV not in os.environ
         assert CHECKPOINT_EVERY_ENV not in os.environ
+
+
+class TestConcurrentWriters:
+    """Two writers of one target must never collide on a temp file.
+
+    Sweep workers storing the same digest, or a service evicting the
+    same session twice, write one path concurrently; each write must
+    succeed and leave one whole payload behind.
+    """
+
+    THREADS = 4
+    WRITES = 100
+
+    def _hammer(self, write):
+        errors = []
+        barrier = threading.Barrier(self.THREADS)
+
+        def worker():
+            barrier.wait()
+            for _ in range(self.WRITES):
+                try:
+                    write()
+                except Exception as exc:  # collected for the assertion
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return errors
+
+    def test_sweep_cache_store_of_one_digest(self, tmp_path):
+        spec = make_scenario("corner_cluster", node_count=8, k=1, max_rounds=3)
+        result = {"values": [float(i) / 7.0 for i in range(200)]}
+        runner = SweepRunner(cache_dir=tmp_path)
+        errors = self._hammer(lambda: runner.store(spec, result))
+        assert errors == []
+        path = runner.store(spec, result)
+        assert runner.load_cached(spec) == result
+        assert list(path.parent.iterdir()) == [path]
+
+    def test_checkpoint_save_of_one_path(self, square, tmp_path):
+        sim = Simulation(
+            network=SensorNetwork.from_corner_cluster(
+                square, 8, comm_range=0.3, rng=np.random.default_rng(5)
+            ),
+            config=LaacadConfig(k=1, epsilon=2e-3, max_rounds=20),
+        )
+        sim.run(until=2)
+        checkpoint = sim.checkpoint()
+        path = tmp_path / "run.ckpt.json"
+        errors = self._hammer(lambda: checkpoint.save(path))
+        assert errors == []
+        assert SimulationCheckpoint.load(path).payload == json.loads(
+            checkpoint.to_json()
+        )
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCliCheckpointFlags:

@@ -1,163 +1,44 @@
-"""Equivalence suite: batched distributed engine == legacy agents, bitwise.
+"""Distributed protocol backends: agreement with Algorithm 1 and selection.
 
-The batched round-level backend promises results *identical* to the
-message-level agent path — final positions, sensing ranges, every
-``DistributedRoundStats`` field (communication counters included) and
-the cumulative ``CommunicationSummary`` — across loss rates, seeds,
-failure schedules and regions (obstacles exercise the batched
-containment kernel).  Lossy runs are the sharp edge: equality requires
-the batched backend to consume the scheduler RNG draw-for-draw in the
-legacy order (see the contract in ``repro/runtime/engines.py``), so
-these tests enforce exact equality (``==``, no tolerances).
+Loss-free distributed runs are checked against the *centralized*
+driver's trajectory — the paper's claim that with a reliable channel
+the protocol executes Algorithm 1 exactly — on both backends.  The
+sparse backend's tolerance contract against the legacy agents (loss
+rates, seeds, failure schedules, obstacle regions) is enforced by
+``tests/test_engine_sparse_equivalence.py``.
 
-Loss-free distributed runs are additionally checked against the
-*centralized* driver's trajectory — the paper's claim that with a
-reliable channel the protocol executes Algorithm 1 exactly.
+The selection tests pin the registry (``legacy`` and ``sparse``) and
+the rejection of the centralized-only ``batched`` name on every way a
+distributed run can be requested.
 """
 
-import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from repro.api import Simulation, deploy
 from repro.core.config import LaacadConfig
+from repro.experiments.ablations import run_protocol_overhead
+from repro.experiments.common import ENGINE_ENV
 from repro.geometry.primitives import distance
 from repro.network.network import SensorNetwork
-from repro.regions.shapes import figure8_region_two, l_shaped_region, unit_square
+from repro.regions.shapes import unit_square
 from repro.runtime.engines import (
-    BatchedDistributedEngine,
+    DistributedRoundEngine,
     LegacyDistributedEngine,
     available_distributed_engines,
     make_distributed_engine,
 )
-from repro.runtime.failures import FailureInjector
 from repro.runtime.scheduler import SynchronousScheduler
-
-
-def _run_distributed(
-    engine,
-    seed,
-    drop_probability=0.0,
-    failures=None,
-    region=None,
-    count=14,
-    comm_range=0.3,
-    **config_kwargs,
-):
-    region = region if region is not None else unit_square()
-    network = SensorNetwork.from_random(
-        region, count, comm_range=comm_range, rng=np.random.default_rng(seed)
-    )
-    config_kwargs.setdefault("k", 2)
-    config_kwargs.setdefault("epsilon", 2e-3)
-    config_kwargs.setdefault("max_rounds", 12)
-    config = LaacadConfig(engine=engine, **config_kwargs)
-    injector = (
-        FailureInjector(
-            scheduled=dict(failures.get("scheduled", {})),
-            random_failure_rate=failures.get("random_failure_rate", 0.0),
-            rng=np.random.default_rng(failures.get("seed", 0)),
-        )
-        if failures
-        else None
-    )
-    return Simulation(
-        network=network,
-        config=config,
-        kind="distributed",
-        drop_probability=drop_probability,
-        failure_injector=injector,
-    ).run()
-
-
-def _assert_identical(result_a, result_b):
-    assert result_a.final_positions == result_b.final_positions
-    assert result_a.sensing_ranges == result_b.sensing_ranges
-    assert result_a.converged == result_b.converged
-    assert result_a.rounds_executed == result_b.rounds_executed
-    assert len(result_a.history) == len(result_b.history)
-    for stats_a, stats_b in zip(result_a.history, result_b.history):
-        assert dataclasses.asdict(stats_a) == dataclasses.asdict(stats_b)
-    assert result_a.communication == result_b.communication
-    assert result_a.killed_nodes == result_b.killed_nodes
-
-
-class TestLossyEquivalence:
-    """The tentpole contract: bitwise identity across the loss model."""
-
-    @pytest.mark.parametrize("seed", [1, 7, 23])
-    @pytest.mark.parametrize("drop_probability", [0.0, 0.02, 0.15])
-    def test_loss_rates_and_seeds(self, seed, drop_probability):
-        result_legacy = _run_distributed(
-            "legacy", seed, drop_probability=drop_probability
-        )
-        result_batched = _run_distributed(
-            "batched", seed, drop_probability=drop_probability
-        )
-        if drop_probability:
-            assert result_batched.communication.dropped > 0
-        _assert_identical(result_legacy, result_batched)
-
-    @pytest.mark.parametrize("drop_probability", [0.0, 0.1])
-    def test_failure_injection(self, drop_probability):
-        failures = {"scheduled": {3: [0, 1], 6: [5]}, "seed": 4}
-        result_legacy = _run_distributed(
-            "legacy", 9, drop_probability=drop_probability, failures=failures
-        )
-        result_batched = _run_distributed(
-            "batched", 9, drop_probability=drop_probability, failures=failures
-        )
-        assert result_batched.killed_nodes == [0, 1, 5]
-        _assert_identical(result_legacy, result_batched)
-
-    def test_random_failures(self):
-        failures = {"random_failure_rate": 0.01, "seed": 2}
-        result_legacy = _run_distributed(
-            "legacy", 13, drop_probability=0.05, failures=failures
-        )
-        result_batched = _run_distributed(
-            "batched", 13, drop_probability=0.05, failures=failures
-        )
-        _assert_identical(result_legacy, result_batched)
-
-    @pytest.mark.parametrize(
-        "region_factory", [l_shaped_region, figure8_region_two]
-    )
-    def test_obstacle_regions(self, region_factory):
-        # Holes exercise the batched containment kernel's hole branch
-        # and the circle check near obstacle boundaries.
-        result_legacy = _run_distributed(
-            "legacy", 3, drop_probability=0.08, region=region_factory(), count=18
-        )
-        result_batched = _run_distributed(
-            "batched", 3, drop_probability=0.08, region=region_factory(), count=18
-        )
-        _assert_identical(result_legacy, result_batched)
-
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_coverage_orders(self, k):
-        result_legacy = _run_distributed("legacy", 31 + k, drop_probability=0.05, k=k)
-        result_batched = _run_distributed("batched", 31 + k, drop_probability=0.05, k=k)
-        _assert_identical(result_legacy, result_batched)
-
-    def test_fractional_alpha_and_round_cap(self):
-        # A run that hits the round cap exercises the result() refresh
-        # round, which also consumes loss draws — in both backends.
-        result_legacy = _run_distributed(
-            "legacy", 17, drop_probability=0.1, alpha=0.5, max_rounds=4
-        )
-        result_batched = _run_distributed(
-            "batched", 17, drop_probability=0.1, alpha=0.5, max_rounds=4
-        )
-        assert not result_batched.converged
-        _assert_identical(result_legacy, result_batched)
+from repro.runtime.sparse import SparseDistributedEngine
+from repro.scenarios import ScenarioSpec
 
 
 class TestCentralizedAgreement:
     """Loss-free distributed == centralized trajectory (both backends)."""
 
-    @pytest.mark.parametrize("engine", ["legacy", "batched"])
+    @pytest.mark.parametrize("engine", ["legacy", "sparse"])
     def test_matches_centralized_driver(self, engine):
         region = unit_square()
         positions = region.random_points(14, rng=np.random.default_rng(8))
@@ -179,16 +60,11 @@ class TestCentralizedAgreement:
         for a, b in zip(central.final_positions, distributed.final_positions):
             assert distance(a, b) < 1e-6
 
-    def test_loss_free_engines_agree_with_each_other_exactly(self):
-        result_legacy = _run_distributed("legacy", 42)
-        result_batched = _run_distributed("batched", 42)
-        assert result_batched.communication.dropped == 0
-        _assert_identical(result_legacy, result_batched)
-
 
 class TestEngineSelection:
     def test_registry_lists_builtins(self):
-        assert {"legacy", "batched"} <= set(available_distributed_engines())
+        assert available_distributed_engines() == ["legacy", "sparse"]
+        assert SparseDistributedEngine.__mro__[1] is DistributedRoundEngine
 
     def test_unknown_engine_rejected(self, square):
         network = SensorNetwork(square, [(0.5, 0.5)], comm_range=0.3)
@@ -208,15 +84,47 @@ class TestEngineSelection:
             )
 
         assert isinstance(_sim("legacy").deployer.protocol, LegacyDistributedEngine)
-        assert isinstance(_sim("batched").deployer.protocol, BatchedDistributedEngine)
+        assert isinstance(_sim("sparse").deployer.protocol, SparseDistributedEngine)
 
-    def test_batched_deployer_still_exposes_agents(self, square):
-        # The deprecated DistributedLaacadRunner surface: same keys,
-        # inert agents, materialised lazily.
-        network = SensorNetwork.from_random(
-            square, 6, comm_range=0.4, rng=np.random.default_rng(0)
+    def test_batched_rejected_on_distributed_pipeline(self, square, monkeypatch):
+        # The dense distributed backend is gone; its name must fail on
+        # every route into a distributed run — never be remapped — and
+        # the error must point at the two remaining backends.
+        message = r"centralized-only.*'legacy'.*'sparse'"
+
+        def network():
+            return SensorNetwork.from_corner_cluster(
+                square, 8, comm_range=0.3, rng=np.random.default_rng(3)
+            )
+
+        batched = LaacadConfig(k=1, max_rounds=4, engine="batched")
+        with pytest.raises(ValueError, match=message):
+            Simulation(network=network(), config=batched, kind="distributed")
+
+        spec = ScenarioSpec(
+            pipeline="distributed", node_count=8, max_rounds=3, engine="batched"
         )
+        with pytest.raises(ValueError, match=message):
+            spec.run()
+        with pytest.raises(ValueError, match=message):
+            spec.digest()
+
+        monkeypatch.setenv(ENGINE_ENV, "batched")
+        with pytest.raises(ValueError, match=message):
+            run_protocol_overhead(node_count=8, max_rounds=3)
+        monkeypatch.delenv(ENGINE_ENV)
+
+        # A checkpoint written by the removed backend cannot resume.
         sim = Simulation(
-            network=network, config=LaacadConfig(k=1), kind="distributed"
+            network=network(), config=batched.with_engine("legacy"), kind="distributed"
         )
-        assert set(sim.deployer.agents) == set(range(6))
+        sim.run(until=2)
+        payload = json.loads(json.dumps(sim.checkpoint().to_dict()))
+        payload["config"]["engine"] = "batched"
+        with pytest.raises(ValueError, match=message):
+            Simulation.restore(payload)
+
+        # The centralized dense engine is untouched.
+        result = Simulation(network=network(), config=batched).run()
+        assert result.config.engine == "batched"
+        assert result.rounds_executed >= 1

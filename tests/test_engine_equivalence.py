@@ -26,7 +26,7 @@ from repro.engine import (
 )
 from repro.experiments.common import ENGINE_ENV, resolve_engine
 from repro.experiments.fig6_convergence import run_fig6_convergence
-from repro.runtime.engines import BatchedDistributedEngine, LegacyDistributedEngine
+from repro.runtime.engines import LegacyDistributedEngine
 from repro.runtime.sparse import SparseDistributedEngine
 from repro.network.network import SensorNetwork
 from repro.regions.shapes import (
@@ -199,7 +199,6 @@ class TestEngineDefaults:
     }
     DISTRIBUTED = {
         "legacy": LegacyDistributedEngine,
-        "batched": BatchedDistributedEngine,
         "sparse": SparseDistributedEngine,
     }
 
@@ -221,11 +220,21 @@ class TestEngineDefaults:
         assert resolve_engine_name(None, "centralized") == "batched"
         assert resolve_engine_name(None, "distributed") == "sparse"
         for mode in DEFAULT_ENGINES:
-            for name in ("legacy", "batched", "sparse"):
+            for name in ("legacy", "sparse"):
                 assert resolve_engine_name(name, mode) == name
+        assert resolve_engine_name("batched", "centralized") == "batched"
+        with pytest.raises(ValueError, match="centralized-only"):
+            resolve_engine_name("batched", "distributed")
 
-    @pytest.mark.parametrize("kind", ["laacad", "distributed"])
-    @pytest.mark.parametrize("engine", [None, "legacy", "batched", "sparse"])
+    @pytest.mark.parametrize(
+        "kind, engine",
+        [
+            (kind, engine)
+            for kind in ("laacad", "distributed")
+            for engine in (None, "legacy", "batched", "sparse")
+            if not (kind == "distributed" and engine == "batched")
+        ],
+    )
     def test_deployer_builds_resolved_backend(self, square, kind, engine):
         sim = self._session(square, kind, engine)
         if kind == "laacad":
@@ -256,12 +265,12 @@ class TestEngineDefaults:
         assert result.to_dict()["config"]["engine"] == default
         assert Simulation.restore(payload).config.engine == default
 
-    def test_batched_checkpoint_resumes_on_batched(self, square):
+    def test_legacy_checkpoint_resumes_on_legacy(self, square):
         # A stored name is never re-resolved: a distributed run written
-        # on explicit batched resumes on batched, not on today's default.
+        # on explicit legacy resumes on legacy, not on today's default.
         def session():
             return self._session(
-                square, "distributed", "batched", k=1, max_rounds=14
+                square, "distributed", "legacy", k=1, max_rounds=14
             )
 
         baseline = session().run()
@@ -269,8 +278,8 @@ class TestEngineDefaults:
         interrupted.run(until=5)
         payload = json.loads(json.dumps(interrupted.checkpoint().to_dict()))
         resumed = Simulation.restore(payload)
-        assert resumed.config.engine == "batched"
-        assert type(resumed.deployer.protocol) is BatchedDistributedEngine
+        assert resumed.config.engine == "legacy"
+        assert type(resumed.deployer.protocol) is LegacyDistributedEngine
         _assert_identical(resumed.run(), baseline)
         assert resumed.result().communication == baseline.communication
 

@@ -38,19 +38,21 @@ class TestScenarioSpec:
         spec = ScenarioSpec(k=2)
         assert spec.digest() == spec.replace(engine="legacy").digest()
 
-    def test_sparse_digest_differs_from_batched(self):
+    def test_sparse_digest_differs_from_bitwise_engines(self):
         # sparse meets a 1e-9 tolerance contract, not bitwise equality,
-        # so its results must never be served from a batched cache entry.
-        for pipeline in ("laacad", "distributed"):
-            spec = ScenarioSpec(k=2, pipeline=pipeline, engine="batched")
-            assert spec.digest() != spec.replace(engine="sparse").digest()
-            assert spec.digest() == spec.replace(engine="legacy").digest()
+        # so its results must never be served from a legacy (or, for
+        # centralized runs, batched) cache entry.
+        centralized = ScenarioSpec(k=2, engine="batched")
+        assert centralized.digest() != centralized.replace(engine="sparse").digest()
+        assert centralized.digest() == centralized.replace(engine="legacy").digest()
+        distributed = ScenarioSpec(k=2, pipeline="distributed", engine="legacy")
+        assert distributed.digest() != distributed.replace(engine="sparse").digest()
 
     def test_unset_engine_digests_like_its_resolved_default(self):
         distributed = ScenarioSpec(k=2, pipeline="distributed")
         assert distributed.resolved_engine() == "sparse"
         assert distributed.digest() == distributed.replace(engine="sparse").digest()
-        assert distributed.digest() != distributed.replace(engine="batched").digest()
+        assert distributed.digest() != distributed.replace(engine="legacy").digest()
         centralized = ScenarioSpec(k=2)
         assert centralized.resolved_engine() == "batched"
         assert centralized.digest() == centralized.replace(engine="batched").digest()
