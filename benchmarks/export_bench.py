@@ -1,132 +1,65 @@
-"""Perf-trajectory exporter: measure the hot paths, write a JSON baseline.
+"""Perf-trajectory exporter and its one regression gate.
 
-The repo's performance work (PR 1: centralized round engine, PR 4:
-distributed round engine, PR 6: sparse engine tier) needs a *recorded*
-trajectory to be measured against, so this runner times the canonical
-workloads and writes them to a committed JSON baseline.
+``--suite {pr4,sparse,service,pr9} --out PATH`` measures a workload
+suite and writes it as a JSON baseline.  The committed
+``benchmarks/BENCH_PR4/6/7/8/9.json`` files are the recorded
+trajectory; recording never writes to a default path.
 
-``--suite pr4`` (default, writes ``BENCH_PR4.json``):
+Every gate reads the baseline and a fresh measurement as flat
+``{row label: value}`` dicts (:func:`flatten`) and judges each recorded
+row by the first entry of :data:`ROW_RULES` its label matches:
 
-* centralized round time (batched engine), N in {50, 200, 500};
-* distributed round time (legacy and sparse backends), N in
-  {50, 200, 500}, uniform random deployment;
-* the N=200 k=2 corner-cluster *distributed deployment transient*
-  (6 rounds) under both backends, plus the sparse-over-legacy speedup
-  — the acceptance workload of the round-level backend;
-* wall-clock of a small serial scenario sweep (cold cache).
+* seconds: ``now <= baseline * scale * factor``;
+* ``*speedup*``: ``now >= baseline / 2``;
+* scaling exponent: ``now < 2`` (sub-quadratic);
+* session creates/s: ``now >= baseline / (scale * factor)``;
+* evicted session bytes ``<=`` live session bytes;
+* the eviction-equivalence bit holds;
+* skipped rows print why (a removed backend, untimed housekeeping, a
+  kernel tier this machine cannot build); reported rows have no bound.
 
-The committed BENCH_PR4.json predates the sparse distributed backend:
-its distributed rows were recorded under ``batched``, the dense
-backend the sparse one replaced.  ``--check`` replays each such row
-against the same measurement on its successor (see
-``DISTRIBUTED_SUCCESSORS``) at the recorded bound.
+``scale`` is the ratio of a fixed scalar-geometry calibration workload
+on the checking machine vs the recording one, so a uniformly slower
+runner does not trip a gate while an engine regression still does.  One
+line is printed per recorded row, and a recorded row the fresh
+measurement lacks fails.  Three entry points share the gate:
 
-``--suite sparse`` (writes ``BENCH_PR7.json``):
+* ``--check BASELINE [--factor 2.0]`` re-measures the suite the
+  baseline's ``label`` names;
+* ``--check-overhead PR9_BASELINE [--overhead-factor 1.02]`` replays the
+  numpy/threads=1 N=2000 cells with tracing off, on the process CPU
+  clock, with a one-sided scale (a faster machine keeps the absolute
+  budget) and up to five best-of retries;
+* ``--compare-tiers JIT.json NUMPY.json [--tier-factor 1.1]`` gates the
+  kernel-bound round rows of two PR7-format recordings, jit first and
+  numpy second: ``jit <= numpy * scale * factor``.
 
-* sparse centralized and distributed round times at N in
-  {2000, 10000, 50000} with density-scaled transmission range
-  (``sqrt(12 * area / (pi * N))`` — constant expected ring population,
-  the regime where the N x N wall actually bites);
-* the reference backends at N=2000 for the speedup rows — the dense
-  ``batched`` engine for centralized rounds, the ``legacy`` agents (the
-  protocol's oracle) for distributed ones; neither can reach N=50000,
-  which is the point of the tier;
-* the distributed scaling exponent ``log(t_50k / t_10k) / log(5)``,
-  committed as evidence of sub-quadratic scaling.
-
-``--suite pr9`` (writes ``BENCH_PR9.json``):
-
-* the sparse centralized and distributed round times at N in
-  {2000, 10000}, recorded for every *available* kernel tier (numpy
-  always; jit when numba imports) × worker count in {1, cores} — the
-  matrix the intra-round threading work (PR 9) is measured against;
-* a thread-scaling section over the distributed N=10000 round:
-  seconds and parallel efficiency per swept worker count, plus the
-  count where scaling saturates (< 10% further improvement);
-* recording machines with one core (or without numba) simply record a
-  smaller matrix; ``--check`` replays whatever the baseline recorded
-  and skips tiers the checking machine cannot build.
-
-``--compare-tiers JIT.json NUMPY.json`` gates the jit tier against the
-numpy tier: every kernel-bound round measurement recorded in both
-PR7-format baselines must satisfy ``jit <= numpy * machine_scale *
-1.1`` (``--tier-factor``), where ``machine_scale`` is the calibration
-ratio between the two recordings.  CI records a fresh jit-tier
-baseline and compares it against the committed numpy one, so a jit
-kernel that silently degenerates to slower-than-numpy fails the job.
-
-``--suite service`` (writes ``BENCH_PR8.json``):
-
-* session-creation throughput: 1000 concurrent creates against a
-  :class:`~repro.service.SessionManager` capped at 64 live sessions,
-  so checkpoint-eviction is active throughout;
-* p99/p50 step latency with all 1000 sessions resident (most of them
-  evicted — a step typically pays a resurrection), drained through a
-  bounded client pool;
-* idle-session resident memory, live (tracemalloc-measured Simulation)
-  vs evicted (checkpoint blob bytes) — the memory the eviction tier
-  reclaims;
-* the eviction-equivalence bit: a session evicted after every round
-  must finish bitwise-identical to a direct in-process run.
+``--profile [--threads 1,2,4] [--profile-out PATH]`` prints one sparse
+round's per-stage seconds per size, summed from its stage trace spans.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/export_bench.py                # write benchmarks/BENCH_PR4.json
-    PYTHONPATH=src python benchmarks/export_bench.py --suite sparse # write benchmarks/BENCH_PR7.json
-    PYTHONPATH=src python benchmarks/export_bench.py --suite service # write benchmarks/BENCH_PR8.json
-    PYTHONPATH=src python benchmarks/export_bench.py --suite pr9    # write benchmarks/BENCH_PR9.json
-    PYTHONPATH=src python benchmarks/export_bench.py --check benchmarks/BENCH_PR4.json
-    PYTHONPATH=src python benchmarks/export_bench.py --check benchmarks/BENCH_PR9.json
-    PYTHONPATH=src python benchmarks/export_bench.py --compare-tiers jit.json benchmarks/BENCH_PR7.json
-    PYTHONPATH=src python benchmarks/export_bench.py --profile      # sparse per-stage breakdown
-    PYTHONPATH=src python benchmarks/export_bench.py --profile --threads 1,2,4
-    PYTHONPATH=src python benchmarks/export_bench.py --profile --profile-out profile.json
+    PYTHONPATH=src python benchmarks/export_bench.py --check benchmarks/BENCH_PR7.json
     PYTHONPATH=src python benchmarks/export_bench.py --check-overhead benchmarks/BENCH_PR9.json
-
-``--profile`` runs one sparse round per size with ``REPRO_PROFILE=1``
-and prints the per-stage wall-clock breakdown (gather / circle_check /
-clip / summary) the engines record on their round results — the
-first-stop view for future squeezes, replacing ad-hoc profiling runs.
-With ``--threads 1,2,4`` the profile becomes a sweep: each round runs
-once per worker count and every stage reports its parallel efficiency
-``t_1 / (t_n * n)`` against the serial run, showing exactly which
-stages scale and where the thread dimension saturates.
-``--profile-out PATH`` additionally writes the breakdown as JSON for
-machine diffing, and ``--check-overhead BENCH_PR9.json`` gates the
-*telemetry-disabled* hot path against the committed PR9 cells — the
-observability hooks must cost nothing when no trace is active.
-
-``--check`` re-measures the regression-relevant subset (round times and
-the deployment transient; the sweep is skipped — its wall-clock is
-dominated by process/cache housekeeping) and exits non-zero when any
-measurement exceeds ``baseline * machine_scale * factor`` (factor
-defaults to 2.0), a recorded speedup fell below half its recorded
-value, or (sparse suite) the scaling exponent reaches quadratic.  The
-baseline's ``label`` picks the checker, so one flag serves both
-baselines.  ``machine_scale`` is the ratio of a fixed scalar-geometry
-calibration workload on the checking machine vs the baseline machine,
-so a uniformly slower CI runner does not trip the gate while a genuine
-round-engine regression — which leaves the calibration workload
-untouched — still does.  The speedup floors and the exponent ceiling
-are machine-independent outright.
+    PYTHONPATH=src python benchmarks/export_bench.py --compare-tiers jit.json benchmarks/BENCH_PR7.json
+    PYTHONPATH=src python benchmarks/export_bench.py --suite sparse --out BENCH_PR7_new.json
+    PYTHONPATH=src python benchmarks/export_bench.py --profile --threads 1,2 --profile-out profile.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
-
-DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_PR4.json"
-SPARSE_OUT = Path(__file__).resolve().parent / "BENCH_PR7.json"
-SERVICE_OUT = Path(__file__).resolve().parent / "BENCH_PR8.json"
-PR9_OUT = Path(__file__).resolve().parent / "BENCH_PR9.json"
 
 #: Sizes of the tier × threads matrix (PR9 suite).  50k is left to the
 #: PR7 baseline — the matrix re-measures every cell, and the point here
@@ -136,6 +69,15 @@ PR9_SIZES = (2000, 10000)
 #: calibration): the jit tier must never be meaningfully slower than
 #: the numpy reference on a kernel-bound stage.
 TIER_COMPARE_FACTOR = 1.1
+#: The kernel-bound rows ``--compare-tiers`` gates.
+TIER_ROWS = ("sparse_centralized_round_seconds", "sparse_distributed_round_seconds")
+#: Allowed telemetry-disabled slowdown vs the committed PR9 baseline:
+#: the hooks' disabled path is one module-global check, so 2% covers it
+#: with margin on a quiet machine.  CI passes a looser ``--overhead-
+#: factor`` to absorb shared-runner noise.
+OVERHEAD_FACTOR = 1.02
+#: Best-of re-measurements ``--check-overhead`` may take.
+OVERHEAD_RETRIES = 5
 
 ROUND_SIZES = (50, 200, 500)
 #: Distributed backends the PR4 suite measures.
@@ -151,14 +93,6 @@ SPARSE_SIZES = (2000, 10000, 50000)
 #: Largest size the reference comparison rows run at (the dense and
 #: per-agent references beyond this are pointlessly slow on a CI runner).
 SPARSE_COMPARE_SIZE = 2000
-#: Recorded sparse-suite rows that measured removed code, with why;
-#: ``--check`` prints them as retired instead of replaying them.
-RETIRED_SPARSE_ROWS = {
-    "batched_round_n2000_seconds[distributed]": (
-        "the dense distributed backend was removed; the distributed "
-        "speedup row now takes legacy as its reference"
-    ),
-}
 
 #: The canonical N=200 k=2 corner-cluster distributed transient — the
 #: round-level backend's acceptance workload.  Single source of truth,
@@ -234,37 +168,43 @@ def _uniform_network(n: int, seed: int = 7):
     )
 
 
-def measure_centralized_rounds() -> Dict[str, float]:
-    """One batched-engine round of region computation per network size."""
+def _round(kind: str, engine_name: str, network) -> Callable[[], object]:
+    """Zero-arg callable running one k=2 round of ``engine_name``.
+
+    ``kind`` is ``"centralized"`` (region computation) or
+    ``"distributed"`` (one protocol round: gather + regions).
+    """
     from repro.core.config import LaacadConfig
     from repro.engine import make_engine
+    from repro.runtime.engines import make_distributed_engine
+    from repro.runtime.scheduler import SynchronousScheduler
 
-    results: Dict[str, float] = {}
-    for n in ROUND_SIZES:
-        network = _uniform_network(n)
-        engine = make_engine("batched", network, LaacadConfig(k=2, engine="batched"))
-        results[str(n)] = _best_of(engine.compute_round)
-    return results
+    config = LaacadConfig(k=2, engine=engine_name)
+    if kind == "centralized":
+        return make_engine(engine_name, network, config).compute_round
+    scheduler = SynchronousScheduler()
+    engine = make_distributed_engine(engine_name, network, config, scheduler)
+    scheduler.begin_round()
+    return lambda: engine.run_round(0)
+
+
+def measure_centralized_rounds() -> Dict[str, float]:
+    """One batched-engine round of region computation per network size."""
+    return {
+        str(n): _best_of(_round("centralized", "batched", _uniform_network(n)))
+        for n in ROUND_SIZES
+    }
 
 
 def measure_distributed_rounds() -> Dict[str, Dict[str, float]]:
     """One protocol round (gather + regions) per backend per size."""
-    from repro.core.config import LaacadConfig
-    from repro.runtime.engines import make_distributed_engine
-    from repro.runtime.scheduler import SynchronousScheduler
-
-    results: Dict[str, Dict[str, float]] = {
-        engine: {} for engine in DISTRIBUTED_ENGINES
+    return {
+        engine_name: {
+            str(n): _best_of(_round("distributed", engine_name, _uniform_network(n)))
+            for n in ROUND_SIZES
+        }
+        for engine_name in DISTRIBUTED_ENGINES
     }
-    for engine_name in DISTRIBUTED_ENGINES:
-        for n in ROUND_SIZES:
-            network = _uniform_network(n)
-            config = LaacadConfig(k=2, engine=engine_name)
-            scheduler = SynchronousScheduler()
-            engine = make_distributed_engine(engine_name, network, config, scheduler)
-            scheduler.begin_round()
-            results[engine_name][str(n)] = _best_of(lambda: engine.run_round(0))
-    return results
 
 
 def measure_distributed_deployment() -> Dict[str, float]:
@@ -358,36 +298,24 @@ def _sparse_repeats(n: int) -> int:
     return 2 if n >= 50000 else 3
 
 
+def _sparse_rounds(kind: str, sizes) -> Dict[str, float]:
+    return {
+        str(n): _best_of(
+            _round(kind, "sparse", _density_scaled_network(n)),
+            repeats=_sparse_repeats(n),
+        )
+        for n in sizes
+    }
+
+
 def measure_sparse_centralized_rounds(sizes=SPARSE_SIZES) -> Dict[str, float]:
     """One sparse-engine centralized round per density-scaled size."""
-    from repro.core.config import LaacadConfig
-    from repro.engine import make_engine
-
-    results: Dict[str, float] = {}
-    for n in sizes:
-        network = _density_scaled_network(n)
-        engine = make_engine("sparse", network, LaacadConfig(k=2, engine="sparse"))
-        results[str(n)] = _best_of(engine.compute_round, repeats=_sparse_repeats(n))
-    return results
+    return _sparse_rounds("centralized", sizes)
 
 
 def measure_sparse_distributed_rounds(sizes=SPARSE_SIZES) -> Dict[str, float]:
     """One sparse-backend distributed protocol round per size."""
-    from repro.core.config import LaacadConfig
-    from repro.runtime.engines import make_distributed_engine
-    from repro.runtime.scheduler import SynchronousScheduler
-
-    results: Dict[str, float] = {}
-    for n in sizes:
-        network = _density_scaled_network(n)
-        config = LaacadConfig(k=2, engine="sparse")
-        scheduler = SynchronousScheduler()
-        engine = make_distributed_engine("sparse", network, config, scheduler)
-        scheduler.begin_round()
-        results[str(n)] = _best_of(
-            lambda: engine.run_round(0), repeats=_sparse_repeats(n)
-        )
-    return results
+    return _sparse_rounds("distributed", sizes)
 
 
 def measure_reference_rounds() -> Dict[str, float]:
@@ -396,22 +324,13 @@ def measure_reference_rounds() -> Dict[str, float]:
     Centralized: the dense ``batched`` engine.  Distributed: the
     ``legacy`` agents, the protocol's oracle.
     """
-    from repro.core.config import LaacadConfig
-    from repro.engine import make_engine
-    from repro.runtime.engines import make_distributed_engine
-    from repro.runtime.scheduler import SynchronousScheduler
-
-    network = _density_scaled_network(SPARSE_COMPARE_SIZE)
-    engine = make_engine("batched", network, LaacadConfig(k=2, engine="batched"))
-    centralized = _best_of(engine.compute_round, repeats=2)
-
-    network = _density_scaled_network(SPARSE_COMPARE_SIZE)
-    config = LaacadConfig(k=2, engine="legacy")
-    scheduler = SynchronousScheduler()
-    dist_engine = make_distributed_engine("legacy", network, config, scheduler)
-    scheduler.begin_round()
-    distributed = _best_of(lambda: dist_engine.run_round(0), repeats=2)
-    return {"centralized": centralized, "distributed": distributed}
+    return {
+        kind: _best_of(
+            _round(kind, engine_name, _density_scaled_network(SPARSE_COMPARE_SIZE)),
+            repeats=2,
+        )
+        for kind, engine_name in (("centralized", "batched"), ("distributed", "legacy"))
+    }
 
 
 def collect_sparse() -> Dict[str, object]:
@@ -448,89 +367,109 @@ def collect_sparse() -> Dict[str, object]:
     }
 
 
-def _stage_items(profile):
-    """Stage → seconds pairs, hottest first (``meta`` skipped upstream)."""
-    from repro.engine.profiling import profile_stages
+@contextmanager
+def _kernel_env() -> Iterator[Callable[..., None]]:
+    """Yield ``set(tier=, threads=)`` for the kernel knobs; restore both on exit.
 
-    return sorted(profile_stages(profile).items(), key=lambda kv: -kv[1])
+    ``REPRO_KERNELS`` and ``REPRO_KERNEL_THREADS`` pick the tier and the
+    worker count of every sparse round measured inside the block.
+    """
+    from repro.engine.jit_kernels import KERNELS_ENV
+    from repro.engine.kernels import KERNEL_THREADS_ENV
+
+    saved = {key: os.environ.get(key) for key in (KERNELS_ENV, KERNEL_THREADS_ENV)}
+
+    def set_env(tier: Optional[str] = None, threads: object = None) -> None:
+        if tier is not None:
+            os.environ[KERNELS_ENV] = tier
+        if threads is not None:
+            os.environ[KERNEL_THREADS_ENV] = str(threads)
+
+    try:
+        yield set_env
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
-def _profiled_round(kind: str, n: int):
-    """One profiled sparse round; returns ``(total_seconds, profile)``."""
-    from repro.core.config import LaacadConfig
-    from repro.engine import make_engine
-    from repro.runtime.engines import make_distributed_engine
-    from repro.runtime.scheduler import SynchronousScheduler
+def _stage_items(stages: Dict[str, float]):
+    """Stage → seconds pairs, hottest first."""
+    return sorted(stages.items(), key=lambda kv: -kv[1])
 
-    network = _density_scaled_network(n)
-    config = LaacadConfig(k=2, engine="sparse")
-    if kind == "centralized":
-        engine = make_engine("sparse", network, config)
-        run = engine.compute_round
-    else:
-        scheduler = SynchronousScheduler()
-        engine = make_distributed_engine("sparse", network, config, scheduler)
-        scheduler.begin_round()
-        run = lambda: engine.run_round(0)  # noqa: E731
-    start = time.perf_counter()
-    result = run()
-    return time.perf_counter() - start, result.profile or {}
+
+def _profiled_round(kind: str, n: int) -> Tuple[float, Dict[str, float]]:
+    """One sparse round; returns ``(total_seconds, {stage: seconds})``.
+
+    The round runs under a private trace collector, and a stage's
+    seconds are the summed durations of its same-named spans — the
+    round's top-level spans, since nothing encloses the round here.
+    """
+    from repro.obs import trace
+
+    run = _round(kind, "sparse", _density_scaled_network(n))
+    with trace.collecting() as collector:
+        start = time.perf_counter()
+        run()
+        total = time.perf_counter() - start
+    stages: Dict[str, float] = {}
+    for row in collector.rows():
+        if row["parent"] == 0:
+            stages[row["name"]] = stages.get(row["name"], 0.0) + row["dur"]
+    return total, stages
 
 
 def profile_sparse(sizes=SPARSE_SIZES, thread_counts=None, out=None) -> int:
     """Per-stage breakdown of one sparse round per size (``--profile``).
 
-    Forces ``REPRO_PROFILE=1`` for the measured rounds and prints the
-    stage-name → seconds dict each sparse engine records on its round
-    result, for both the centralized and the distributed path.  With
+    Prints the stage-name → seconds breakdown of one traced round, for
+    both the centralized and the distributed path.  With
     ``thread_counts`` (the ``--threads`` sweep) every round runs once
     per worker count and each stage additionally reports its parallel
     efficiency ``t_1 / (t_n * n)`` against the serial measurement.
     With ``out`` (``--profile-out``) the same measurements are also
     written as machine-readable JSON — one row per (kind, size, threads)
-    with the total, the stage dict and the profile's ``meta`` — so two
-    profile runs can be diffed by a script instead of by eyeball.
+    with the total, the stage dict and the kernel tier and worker count
+    it ran under — so two profile runs can be diffed by a script.
     """
-    import os
-
     from repro.engine.jit_kernels import kernel_tier
-    from repro.engine.kernels import KERNEL_THREADS_ENV
-    from repro.engine.profiling import profile_meta
+    from repro.engine.kernels import kernel_threads
 
-    os.environ["REPRO_PROFILE"] = "1"
     print(f"kernel tier: {kernel_tier()}")
     counts = list(thread_counts) if thread_counts else [None]
     rows = []
-    for n in sizes:
-        for kind in ("centralized", "distributed"):
-            serial_stages: Dict[str, float] = {}
-            for threads in counts:
-                if threads is not None:
-                    os.environ[KERNEL_THREADS_ENV] = str(threads)
-                total, profile = _profiled_round(kind, n)
-                stages = _stage_items(profile)
-                rows.append(
-                    {
-                        "kind": kind,
-                        "n": n,
-                        "threads": threads,
-                        "total_seconds": total,
-                        "stages": dict(stages),
-                        "meta": profile_meta(profile),
-                    }
-                )
-                tag = "" if threads is None else f" threads={threads}"
-                print(f"{kind} n={n}{tag}: {total:.3f}s  "
-                      + "  ".join(f"{name}={secs:.3f}" for name, secs in stages))
-                if threads == counts[0] and threads is not None:
-                    serial_stages = dict(stages)
-                elif threads is not None and serial_stages:
-                    effs = "  ".join(
-                        f"{name}={serial_stages[name] / (secs * threads):.2f}"
-                        for name, secs in stages
-                        if name in serial_stages and secs > 0.0
+    with _kernel_env() as set_env:
+        for n in sizes:
+            for kind in ("centralized", "distributed"):
+                serial_stages: Dict[str, float] = {}
+                for threads in counts:
+                    set_env(threads=threads)
+                    total, stages = _profiled_round(kind, n)
+                    rows.append(
+                        {
+                            "kind": kind,
+                            "n": n,
+                            "threads": threads,
+                            "total_seconds": total,
+                            "stages": dict(_stage_items(stages)),
+                            "meta": {"threads": kernel_threads(), "tier": kernel_tier()},
+                        }
                     )
-                    print(f"{kind} n={n} threads={threads} efficiency: {effs}")
+                    tag = "" if threads is None else f" threads={threads}"
+                    print(f"{kind} n={n}{tag}: {total:.3f}s  "
+                          + "  ".join(f"{name}={secs:.3f}"
+                                      for name, secs in _stage_items(stages)))
+                    if threads == counts[0] and threads is not None:
+                        serial_stages = stages
+                    elif threads is not None and serial_stages:
+                        effs = "  ".join(
+                            f"{name}={serial_stages[name] / (secs * threads):.2f}"
+                            for name, secs in _stage_items(stages)
+                            if name in serial_stages and secs > 0.0
+                        )
+                        print(f"{kind} n={n} threads={threads} efficiency: {effs}")
     if out is not None:
         payload = {
             "profile_format_version": 1,
@@ -539,79 +478,6 @@ def profile_sparse(sizes=SPARSE_SIZES, thread_counts=None, out=None) -> int:
         }
         Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
-    return 0
-
-
-def check_sparse(baseline_payload: Dict, factor: float) -> int:
-    """Regression gate for the sparse-tier baseline (data-driven).
-
-    Absolute seconds are compared against ``baseline * machine_scale *
-    factor``; ``*speedup*`` keys fail below half their recorded value;
-    the scaling exponent fails at quadratic (>= 2.0) regardless of the
-    baseline — sub-quadratic scaling is the tier's reason to exist.
-    Rows in :data:`RETIRED_SPARSE_ROWS` are printed as retired; any
-    other recorded row the fresh measurement lacks is a failure.
-    """
-    baseline = baseline_payload["workloads"]
-    current_payload = collect_sparse()
-    current = current_payload["workloads"]
-    failures = []
-
-    scale = current_payload["calibration_seconds"] / baseline_payload[
-        "calibration_seconds"
-    ]
-    print(f"machine-speed scale vs baseline: {scale:.2f}x "
-          f"(calibration {current_payload['calibration_seconds']:.3f}s "
-          f"vs {baseline_payload['calibration_seconds']:.3f}s)\n")
-
-    def missing(label: str) -> None:
-        failures.append(label)
-        print(f"{label:55s} MISSING from the fresh measurement")
-
-    for key, base_value in baseline.items():
-        if key not in current:
-            missing(key)
-            continue
-        new_value = current[key]
-        if "speedup" in key:
-            status = "ok"
-            if new_value < base_value / 2.0:
-                status = "REGRESSION (speedup halved)"
-                failures.append(key)
-            print(f"{key:55s} baseline {base_value:8.2f}x now {new_value:8.2f}x  {status}")
-        elif "scaling_exponent" in key:
-            status = "ok" if new_value < 2.0 else "REGRESSION (quadratic scaling)"
-            if new_value >= 2.0:
-                failures.append(key)
-            print(f"{key:55s} baseline {base_value:8.2f}  now {new_value:8.2f}   {status}")
-        elif isinstance(base_value, dict):
-            for sub, base_seconds in base_value.items():
-                label = f"{key}[{sub}]"
-                if label in RETIRED_SPARSE_ROWS:
-                    print(f"{label:55s} baseline {base_seconds:8.3f}s retired: "
-                          f"{RETIRED_SPARSE_ROWS[label]}")
-                    continue
-                if sub not in new_value:
-                    missing(label)
-                    continue
-                new_seconds = new_value[sub]
-                status = "ok"
-                if new_seconds > base_seconds * scale * factor:
-                    status = f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
-                    failures.append(label)
-                print(f"{label:55s} baseline {base_seconds:8.3f}s "
-                      f"now {new_seconds:8.3f}s  {status}")
-        else:
-            status = "ok"
-            if new_value > base_value * scale * factor:
-                status = f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
-                failures.append(key)
-            print(f"{key:55s} baseline {base_value:8.3f}s now {new_value:8.3f}s  {status}")
-
-    if failures:
-        print(f"\nFAILED: {len(failures)} regression(s): {', '.join(failures)}")
-        return 1
-    print("\nOK: no measurement regressed beyond the allowed factor")
     return 0
 
 
@@ -636,23 +502,17 @@ def _pr9_matrix_cell(sizes) -> Dict[str, Dict[str, float]]:
 
 def collect_pr9() -> Dict[str, object]:
     """The tier × threads matrix plus the thread-scaling sweep."""
-    import os
-
-    from repro.engine.jit_kernels import KERNELS_ENV, numba_available
-    from repro.engine.kernels import KERNEL_THREADS_ENV, _available_cores
+    from repro.engine.jit_kernels import numba_available
+    from repro.engine.kernels import _available_cores
 
     cores = _available_cores()
     thread_counts = sorted({1, cores})
-    saved = {
-        key: os.environ.get(key) for key in (KERNELS_ENV, KERNEL_THREADS_ENV)
-    }
     tiers: Dict[str, object] = {}
-    try:
+    with _kernel_env() as set_env:
         for tier in _available_tiers():
-            os.environ[KERNELS_ENV] = tier
             per_thread: Dict[str, object] = {}
             for threads in thread_counts:
-                os.environ[KERNEL_THREADS_ENV] = str(threads)
+                set_env(tier=tier, threads=threads)
                 per_thread[str(threads)] = _pr9_matrix_cell(PR9_SIZES)
             tiers[tier] = {"threads": per_thread}
 
@@ -660,7 +520,6 @@ def collect_pr9() -> Dict[str, object]:
         # N=10k round at 1, 2, 4, ... cores; saturation is the largest
         # count still buying >= 10% over the previous one.
         sweep_tier = "jit" if numba_available() else "numpy"
-        os.environ[KERNELS_ENV] = sweep_tier
         sweep_counts = [1]
         while sweep_counts[-1] * 2 <= cores:
             sweep_counts.append(sweep_counts[-1] * 2)
@@ -669,33 +528,17 @@ def collect_pr9() -> Dict[str, object]:
         n_probe = PR9_SIZES[-1]
         seconds: Dict[str, float] = {}
         for threads in sweep_counts:
-            os.environ[KERNEL_THREADS_ENV] = str(threads)
+            set_env(tier=sweep_tier, threads=threads)
             seconds[str(threads)] = measure_sparse_distributed_rounds(
                 (n_probe,)
             )[str(n_probe)]
-        saturation = sweep_counts[0]
-        for prev, cur in zip(sweep_counts, sweep_counts[1:]):
-            if seconds[str(cur)] < seconds[str(prev)] * 0.9:
-                saturation = cur
-            else:
-                break
-        serial = seconds[str(sweep_counts[0])]
-        thread_scaling = {
-            "tier": sweep_tier,
-            "workload": f"sparse_distributed_round_n{n_probe}",
-            "seconds": seconds,
-            "efficiency": {
-                key: serial / (value * int(key)) for key, value in seconds.items()
-            },
-            "saturation_threads": saturation,
-        }
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
+    saturation = sweep_counts[0]
+    for prev, cur in zip(sweep_counts, sweep_counts[1:]):
+        if seconds[str(cur)] < seconds[str(prev)] * 0.9:
+            saturation = cur
+        else:
+            break
+    serial = seconds[str(sweep_counts[0])]
     return {
         "bench_format_version": 1,
         "label": "PR9",
@@ -703,222 +546,39 @@ def collect_pr9() -> Dict[str, object]:
         "numba_available": numba_available(),
         "calibration_seconds": measure_calibration(),
         "tiers": tiers,
-        "thread_scaling": thread_scaling,
+        "thread_scaling": {
+            "tier": sweep_tier,
+            "workload": f"sparse_distributed_round_n{n_probe}",
+            "seconds": seconds,
+            "efficiency": {
+                key: serial / (value * int(key)) for key, value in seconds.items()
+            },
+            "saturation_threads": saturation,
+        },
     }
 
 
-def check_pr9(baseline_payload: Dict, factor: float) -> int:
-    """Regression gate for the tier × threads matrix baseline.
+def measure_pr9_matrix(baseline: Dict) -> Dict[str, object]:
+    """Re-measure every (tier, threads) cell a PR9 baseline recorded.
 
-    Every cell the baseline recorded is re-measured under the same
-    ``REPRO_KERNELS`` / ``REPRO_KERNEL_THREADS`` setting and compared
-    against ``baseline * machine_scale * factor``.  Tiers the checking
-    machine cannot build (jit without numba) are skipped with a note —
-    the numba CI leg covers them.
+    Tiers this machine cannot build (jit without numba) are left out;
+    their rows are skipped by :data:`ROW_RULES`.
     """
-    import os
+    from repro.engine.jit_kernels import numba_available
 
-    from repro.engine.jit_kernels import KERNELS_ENV, numba_available
-    from repro.engine.kernels import KERNEL_THREADS_ENV
-
-    failures = []
-    scale = measure_calibration() / baseline_payload["calibration_seconds"]
-    print(f"machine-speed scale vs baseline: {scale:.2f}x\n")
-
-    saved = {
-        key: os.environ.get(key) for key in (KERNELS_ENV, KERNEL_THREADS_ENV)
-    }
-    try:
-        for tier, tier_data in baseline_payload["tiers"].items():
+    tiers: Dict[str, object] = {}
+    calibration = measure_calibration()
+    with _kernel_env() as set_env:
+        for tier, tier_data in baseline["tiers"].items():
             if tier == "jit" and not numba_available():
-                print(f"tier {tier}: skipped (numba not importable here; "
-                      f"the numba CI leg checks it)")
                 continue
-            os.environ[KERNELS_ENV] = tier
-            for threads, base_cell in tier_data["threads"].items():
-                os.environ[KERNEL_THREADS_ENV] = threads
-                sizes = tuple(
-                    int(n)
-                    for n in base_cell["sparse_distributed_round_seconds"]
-                )
-                cell = _pr9_matrix_cell(sizes)
-                for key, per_size in base_cell.items():
-                    for n, base_seconds in per_size.items():
-                        new_seconds = cell[key][n]
-                        label = f"{tier}/threads={threads} {key}[{n}]"
-                        status = "ok"
-                        if new_seconds > base_seconds * scale * factor:
-                            status = (
-                                f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
-                            )
-                            failures.append(label)
-                        print(f"{label:62s} baseline {base_seconds:8.3f}s "
-                              f"now {new_seconds:8.3f}s  {status}")
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-    if failures:
-        print(f"\nFAILED: {len(failures)} regression(s): {', '.join(failures)}")
-        return 1
-    print("\nOK: no measurement regressed beyond the allowed factor")
-    return 0
-
-
-#: Allowed telemetry-disabled slowdown vs the committed PR9 baseline:
-#: the hooks' disabled path is one module-global check, so 2% covers it
-#: with margin on a quiet machine.  CI passes a looser ``--overhead-
-#: factor`` to absorb shared-runner noise.
-OVERHEAD_FACTOR = 1.02
-
-
-def check_overhead(baseline_payload: Dict, factor: float) -> int:
-    """Telemetry-disabled overhead gate (``--check-overhead``).
-
-    Replays the numpy/threads=1 N=2000 cells of a PR9-format baseline
-    with tracing and profiling both off — the default hot-path
-    configuration — and fails when either round exceeds ``baseline *
-    machine_scale * factor``.  This is the enforcement of the obs
-    contract: with no active collector, every span site costs one
-    module-global check, which must be invisible at round granularity.
-    """
-    import os
-
-    from repro.engine.jit_kernels import KERNELS_ENV
-    from repro.engine.kernels import KERNEL_THREADS_ENV
-    from repro.engine.profiling import PROFILE_ENV
-    from repro.obs import trace
-
-    if trace.tracing_active():
-        raise RuntimeError("--check-overhead must run with tracing off")
-    base_cell = baseline_payload["tiers"]["numpy"]["threads"]["1"]
-
-    failures = []
-    # The gate's cells are single-threaded and CPU-bound, so measure
-    # them on the process CPU clock: time stolen by other processes (the
-    # dominant noise on shared single-core runners) does not count,
-    # while an extra hot-path attribute check — pure CPU work — counts
-    # in full.  The baseline's wall-clock seconds are an upper bound on
-    # its CPU seconds, so the budget only gets tighter, never looser.
-    global _CLOCK
-    saved_clock = _CLOCK
-    _CLOCK = time.process_time
-
-    # One-sided machine calibration: a *slower* checking machine gets a
-    # proportionally larger budget (as in the other gates), but a faster
-    # one keeps the absolute baseline budget — hook cost cannot be
-    # negative, so a run on faster hardware must still come in at or
-    # under the recorded pre-telemetry seconds.  This keeps a tight
-    # factor meaningful when the scalar calibration workload and the
-    # numpy-bound rounds speed up by different ratios.
-    raw_scale = measure_calibration() / baseline_payload["calibration_seconds"]
-    scale = max(1.0, raw_scale)
-    print(f"machine-speed scale vs baseline: {raw_scale:.2f}x "
-          f"(applied: {scale:.2f}x, one-sided)\n")
-
-    saved = {
-        key: os.environ.get(key)
-        for key in (KERNELS_ENV, KERNEL_THREADS_ENV, PROFILE_ENV)
-    }
-    try:
-        os.environ[KERNELS_ENV] = "numpy"
-        os.environ[KERNEL_THREADS_ENV] = "1"
-        os.environ.pop(PROFILE_ENV, None)
-        sizes = (PR9_SIZES[0],)
-        # A tight factor needs a converging best-of: single-cell
-        # readings wobble ±20% under background load, while the floor —
-        # which is what a hot-path attribute check would raise — is
-        # stable.  Replay the cell until every floor is under budget or
-        # the attempts run out; retries cannot mask a real regression
-        # because genuine overhead elevates the floor itself.
-        cell = _pr9_matrix_cell(sizes)
-        for _ in range(5):
-            if all(
-                cell[key][n] <= base_cell[key][n] * scale * factor
-                for key in cell
-                for n in cell[key]
-            ):
-                break
-            again = _pr9_matrix_cell(sizes)
-            for key, per_size in again.items():
-                for n, seconds in per_size.items():
-                    cell[key][n] = min(cell[key][n], seconds)
-        for key in sorted(cell):
-            for n in cell[key]:
-                base_seconds = base_cell[key][n]
-                new_seconds = cell[key][n]
-                label = f"telemetry-off {key}[{n}]"
-                status = "ok"
-                if new_seconds > base_seconds * scale * factor:
-                    status = f"REGRESSION (> {factor:.2f}x speed-scaled baseline)"
-                    failures.append(label)
-                print(f"{label:62s} baseline {base_seconds:8.3f}s "
-                      f"now {new_seconds:8.3f}s  {status}")
-    finally:
-        _CLOCK = saved_clock
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-    if failures:
-        print(f"\nFAILED: telemetry hooks cost measurable time when disabled: "
-              f"{', '.join(failures)}")
-        return 1
-    print(f"\nOK: disabled telemetry within {factor:.2f}x of the "
-          f"speed-scaled baseline")
-    return 0
-
-
-def compare_tiers(jit_path: Path, numpy_path: Path, factor: float) -> int:
-    """Gate the jit tier against the numpy tier (``--compare-tiers``).
-
-    Both arguments are PR7-format baselines (``kernel_tier`` records
-    which tier measured them).  Every kernel-bound round measurement
-    present in both files must satisfy ``jit <= numpy * machine_scale *
-    factor`` — a jit build that is slower than the numpy reference on
-    any kernel-bound stage is a regression, not an optimisation.
-    """
-    jit_payload = json.loads(jit_path.read_text())
-    ref_payload = json.loads(numpy_path.read_text())
-    print(f"jit baseline:   {jit_path} (tier {jit_payload.get('kernel_tier')})")
-    print(f"numpy baseline: {numpy_path} (tier {ref_payload.get('kernel_tier')})")
-    scale = jit_payload["calibration_seconds"] / ref_payload["calibration_seconds"]
-    print(f"machine-speed scale (jit machine vs numpy machine): {scale:.2f}x\n")
-
-    failures = []
-    compared = 0
-    for key in (
-        "sparse_centralized_round_seconds",
-        "sparse_distributed_round_seconds",
-    ):
-        jit_sizes = jit_payload["workloads"].get(key, {})
-        for n, ref_seconds in ref_payload["workloads"].get(key, {}).items():
-            jit_seconds = jit_sizes.get(n)
-            if jit_seconds is None:
-                continue
-            compared += 1
-            allowed = ref_seconds * scale * factor
-            status = "ok"
-            if jit_seconds > allowed:
-                status = f"REGRESSION (jit > {factor:.2f}x numpy)"
-                failures.append(f"{key}[{n}]")
-            print(f"{key + '[' + n + ']':55s} numpy {ref_seconds:8.3f}s "
-                  f"jit {jit_seconds:8.3f}s (allowed {allowed:8.3f}s)  {status}")
-
-    if compared == 0:
-        print("FAILED: the baselines share no kernel-bound measurements")
-        return 1
-    if failures:
-        print(f"\nFAILED: jit tier slower than numpy on: {', '.join(failures)}")
-        return 1
-    print(f"\nOK: jit tier within {factor:.2f}x of the numpy reference "
-          f"on all {compared} kernel-bound measurements")
-    return 0
+            cells = {}
+            for threads, cell in tier_data["threads"].items():
+                set_env(tier=tier, threads=threads)
+                sizes = tuple(int(n) for n in cell["sparse_distributed_round_seconds"])
+                cells[threads] = _pr9_matrix_cell(sizes)
+            tiers[tier] = {"threads": cells}
+    return {"calibration_seconds": calibration, "tiers": tiers}
 
 
 #: Concurrent sessions hosted during the service load test.  The live
@@ -1054,153 +714,273 @@ def collect_service() -> Dict[str, object]:
     }
 
 
-def check_service(baseline_payload: Dict, factor: float) -> int:
-    """Regression gate for the service baseline.
+# ----------------------------------------------------------------------
+# The gate
+# ----------------------------------------------------------------------
+def _rows(tree: Dict, prefix: str = "") -> Iterator[Tuple[str, object]]:
+    for key, value in tree.items():
+        label = f"{prefix}[{key}]" if prefix else key
+        if isinstance(value, dict):
+            yield from _rows(value, label)
+        else:
+            yield label, value
 
-    Throughput (creates/sec) fails below ``baseline / (machine_scale *
-    factor)``; p99 step latency fails above ``baseline * machine_scale
-    * factor``; the memory claim (evicted footprint below live) and the
-    eviction-equivalence bit are machine-independent and must simply
-    hold on the checking machine.
+
+def flatten(payload: Dict) -> Dict[str, object]:
+    """A recorded or fresh measurement as ``{row label: value}``.
+
+    Nested workload dicts join as ``key[sub]``; the rows of a PR9
+    matrix cell are prefixed ``tier/threads=N``.
     """
-    baseline = baseline_payload["workloads"]
-    current_payload = collect_service()
-    current = current_payload["workloads"]
-    failures = []
+    if "tiers" in payload:
+        return {
+            f"{tier}/threads={threads} {label}": value
+            for tier, tier_data in payload["tiers"].items()
+            for threads, cell in tier_data["threads"].items()
+            for label, value in _rows(cell)
+        }
+    return dict(_rows(payload["workloads"]))
 
-    scale = current_payload["calibration_seconds"] / baseline_payload[
-        "calibration_seconds"
-    ]
-    print(f"machine-speed scale vs baseline: {scale:.2f}x "
-          f"(calibration {current_payload['calibration_seconds']:.3f}s "
-          f"vs {baseline_payload['calibration_seconds']:.3f}s)\n")
 
-    base_rate = baseline["session_creates_per_second"]
-    new_rate = current["session_creates_per_second"]
-    floor = base_rate / (scale * factor)
-    status = "ok"
-    if new_rate < floor:
-        status = f"REGRESSION (< baseline / {factor:.1f}x machine scale)"
-        failures.append("session_creates_per_second")
-    print(f"{'session creates/sec':55s} baseline {base_rate:8.1f}  "
-          f"now {new_rate:8.1f}   {status}")
+def _fmt(value: object) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
-    for percentile in ("p50", "p99"):
-        base_value = baseline["step_latency_seconds"][percentile]
-        new_value = current["step_latency_seconds"][percentile]
-        status = "ok"
-        if new_value > base_value * scale * factor:
-            status = f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
-            failures.append(f"step_latency_seconds[{percentile}]")
-        print(f"{'step latency ' + percentile:55s} baseline {base_value * 1e3:8.2f}ms "
-              f"now {new_value * 1e3:8.2f}ms  {status}")
 
+# Row rules: ``rule(base, now, scale, factor, current) -> (ok, bound)``.
+def _seconds(base, now, scale, factor, current):
+    return now <= base * scale * factor, f"<= {base * scale * factor:.4g}"
+
+
+def _speedup(base, now, scale, factor, current):
+    return now >= base / 2.0, f">= {base / 2.0:.4g}"
+
+
+def _subquadratic(base, now, scale, factor, current):
+    return now < 2.0, "< 2"
+
+
+def _rate(base, now, scale, factor, current):
+    return now >= base / (scale * factor), f">= {base / (scale * factor):.4g}"
+
+
+def _below_live(base, now, scale, factor, current):
     live = current["live_session_idle_bytes"]
-    evicted = current["evicted_session_idle_bytes"]
-    status = "ok"
-    if evicted > live:
-        status = "REGRESSION (evicted footprint above live)"
-        failures.append("evicted_session_idle_bytes")
-    print(f"{'idle memory evicted vs live':55s} evicted {evicted / 1024:8.1f}KiB "
-          f"live {live / 1024:8.1f}KiB  {status}")
+    return now <= live, f"<= live {live:.4g}"
 
-    status = "ok" if current["eviction_equivalence"] else "REGRESSION (diverged)"
-    if not current["eviction_equivalence"]:
-        failures.append("eviction_equivalence")
-    print(f"{'eviction equivalence (bitwise)':55s} "
-          f"{'holds' if current['eviction_equivalence'] else 'VIOLATED':>21s}   {status}")
 
+def _holds(base, now, scale, factor, current):
+    return bool(now), "must hold"
+
+
+def _reported(base, now, scale, factor, current):
+    return True, "not gated"
+
+
+#: Row label pattern → rule, first full match wins.  A string rule is
+#: the reason the row is not replayed (printed, never failed).
+ROW_RULES = (
+    (r"batched_round_n2000_seconds\[distributed\]",
+     "retired: the dense distributed backend was removed; the distributed "
+     "speedup row now takes legacy as its reference"),
+    (r"sweep_2x2_seconds",
+     "not replayed: its wall-clock is process and cache housekeeping"),
+    (r"concurrent_sessions|total_\w+|eviction_memory_ratio"
+     r"|live_session_idle_bytes|step_latency_seconds\[mean\]", _reported),
+    (r".*speedup.*", _speedup),
+    (r".*scaling_exponent", _subquadratic),
+    (r"session_creates_per_second", _rate),
+    (r"evicted_session_idle_bytes", _below_live),
+    (r"eviction_equivalence", _holds),
+    (r".*seconds.*", _seconds),
+)
+
+
+def _rule(label: str):
+    from repro.engine.jit_kernels import numba_available
+
+    if label.startswith("jit/") and not numba_available():
+        return "skipped: numba is not importable here; the numba CI leg checks it"
+    for pattern, rule in ROW_RULES:
+        if re.fullmatch(pattern, label):
+            return rule
+    raise ValueError(f"no gate rule for recorded row {label!r}")
+
+
+def _measured_row(label: str) -> Tuple[str, str]:
+    """(fresh row a recorded row replays against, printed label)."""
+    if label.startswith("distributed_"):
+        for old, new in DISTRIBUTED_SUCCESSORS.items():
+            if f"[{old}]" in label:
+                return (label.replace(f"[{old}]", f"[{new}]"),
+                        label.replace(f"[{old}]", f"[{old}->{new}]"))
+    return label, label
+
+
+def _judge(baseline: Dict, current: Dict, scale: float, factor: float):
+    """``(printed label, ok, detail)`` for every recorded row."""
+    for label, base in baseline.items():
+        rule = _rule(label)
+        measured, shown = _measured_row(label)
+        if isinstance(rule, str):
+            yield shown, True, f"baseline {_fmt(base)}  {rule}"
+        elif measured not in current:
+            yield shown, False, "MISSING from the fresh measurement"
+        else:
+            now = current[measured]
+            ok, bound = rule(base, now, scale, factor, current)
+            status = "ok" if ok else "REGRESSION"
+            yield shown, ok, f"baseline {_fmt(base)} now {_fmt(now)} ({bound})  {status}"
+
+
+def gate(
+    baseline: Dict,
+    current: Dict,
+    scale: float,
+    factor: float,
+    remeasure: Optional[Callable[[], Dict]] = None,
+    retries: int = 0,
+) -> int:
+    """Judge every recorded row, print one line each; returns an exit code.
+
+    With ``remeasure``, up to ``retries`` fresh readings are taken while
+    any row is over its bound, keeping each row's minimum — a converging
+    best-of for seconds rows: noise only adds time, while a genuine
+    regression raises the floor itself.
+    """
+    verdicts = list(_judge(baseline, current, scale, factor))
+    for _ in range(retries):
+        if all(ok for _, ok, _ in verdicts):
+            break
+        again = remeasure()
+        current = {key: min(value, again.get(key, value)) for key, value in current.items()}
+        verdicts = list(_judge(baseline, current, scale, factor))
+    for shown, _, detail in verdicts:
+        print(f"{shown:58s} {detail}")
+    failures = [shown for shown, ok, _ in verdicts if not ok]
     if failures:
-        print(f"\nFAILED: {len(failures)} regression(s): {', '.join(failures)}")
+        print(f"\nFAILED: {len(failures)} row(s) out of bound: {', '.join(failures)}")
         return 1
-    print("\nOK: no measurement regressed beyond the allowed factor")
+    print(f"\nOK: all {len(verdicts)} recorded rows within their bounds")
     return 0
+
+
+def _scale(current: Dict, baseline: Dict) -> float:
+    scale = current["calibration_seconds"] / baseline["calibration_seconds"]
+    print(f"machine-speed scale vs baseline: {scale:.2f}x "
+          f"(calibration {current['calibration_seconds']:.3f}s "
+          f"vs {baseline['calibration_seconds']:.3f}s)\n")
+    return scale
+
+
+#: ``--check``: baseline label → fresh measurement shaped like it.  The
+#: lambdas here and in :data:`SUITES` look their collector up at call
+#: time, so a test can substitute a stub for it.
+CHECK_MEASUREMENTS = {
+    "PR4": lambda baseline: collect(include_sweep=False),
+    "PR6": lambda baseline: collect_sparse(),
+    "PR7": lambda baseline: collect_sparse(),
+    "PR8": lambda baseline: collect_service(),
+    "PR9": lambda baseline: measure_pr9_matrix(baseline),
+}
 
 
 def check(baseline_path: Path, factor: float) -> int:
-    """Re-measure and compare; returns a process exit code."""
-    baseline_payload = json.loads(baseline_path.read_text())
-    if baseline_payload.get("label") == "PR9":
-        return check_pr9(baseline_payload, factor)
-    if baseline_payload.get("label") == "PR8":
-        return check_service(baseline_payload, factor)
-    if baseline_payload.get("label") in ("PR6", "PR7"):
-        return check_sparse(baseline_payload, factor)
-    baseline = baseline_payload["workloads"]
-    current_payload = collect(include_sweep=False)
-    current = current_payload["workloads"]
-    failures = []
+    """Re-measure the baseline's suite and gate it; returns an exit code."""
+    baseline = json.loads(Path(baseline_path).read_text())
+    current = CHECK_MEASUREMENTS[baseline["label"]](baseline)
+    scale = _scale(current, baseline)
+    return gate(flatten(baseline), flatten(current), scale, factor)
 
-    # Normalise for machine speed: the allowed budget scales with how
-    # this machine performs on the calibration workload relative to the
-    # machine that recorded the baseline.
-    scale = current_payload["calibration_seconds"] / baseline_payload[
-        "calibration_seconds"
-    ]
-    print(f"machine-speed scale vs baseline: {scale:.2f}x "
-          f"(calibration {current_payload['calibration_seconds']:.3f}s "
-          f"vs {baseline_payload['calibration_seconds']:.3f}s)\n")
 
-    def compare(label: str, base_value: float, new_value: float) -> None:
-        status = "ok"
-        if new_value > base_value * scale * factor:
-            status = f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
-            failures.append(label)
-        print(f"{label:55s} baseline {base_value:8.3f}s now {new_value:8.3f}s  {status}")
+def check_overhead(baseline_payload: Dict, factor: float) -> int:
+    """Telemetry-disabled overhead gate (``--check-overhead``).
 
-    for n, base_value in baseline["centralized_round_seconds"].items():
-        compare(
-            f"centralized round n={n}",
-            base_value,
-            current["centralized_round_seconds"][n],
-        )
+    Replays the numpy/threads=1 N=2000 cells of a PR9-format baseline
+    with tracing off — the default hot-path configuration.  With no
+    active collector every span site costs one module-global check,
+    which must be invisible at round granularity.
+    """
+    from repro.obs import trace
 
-    def engine_label(recorded: str) -> Tuple[str, str]:
-        """(label, measured backend) of a recorded distributed row."""
-        measured = DISTRIBUTED_SUCCESSORS.get(recorded, recorded)
-        label = recorded if measured == recorded else f"{recorded}->{measured}"
-        return label, measured
+    if trace.tracing_active():
+        raise RuntimeError("--check-overhead must run with tracing off")
+    n = str(PR9_SIZES[0])
 
-    for recorded, per_size in baseline["distributed_round_seconds"].items():
-        label, measured = engine_label(recorded)
-        for n, base_value in per_size.items():
-            compare(
-                f"distributed round [{label}] n={n}",
-                base_value,
-                current["distributed_round_seconds"][measured][n],
-            )
-    for recorded, base_value in baseline[
-        "distributed_deployment_n200_seconds"
-    ].items():
-        label, measured = engine_label(recorded)
-        compare(
-            f"distributed deployment n=200 [{label}]",
-            base_value,
-            current["distributed_deployment_n200_seconds"][measured],
-        )
+    def cell_rows(cell: Dict) -> Dict[str, object]:
+        return flatten({"tiers": {"numpy": {"threads": {"1": cell}}}})
 
-    base_speedup = baseline["distributed_speedup_n200"]
-    new_speedup = current["distributed_speedup_n200"]
-    # Recorded as legacy over batched; replayed as legacy over sparse.
-    print(f"{'distributed n=200 speedup (legacy over sparse)':55s} "
-          f"baseline {base_speedup:7.2f}x now {new_speedup:7.2f}x")
-    if new_speedup < base_speedup / 2.0:
-        failures.append("distributed_speedup_n200")
-        print("REGRESSION: the deployment-transient speedup halved")
+    recorded = baseline_payload["tiers"]["numpy"]["threads"]["1"]
+    baseline = cell_rows({key: {n: per_size[n]} for key, per_size in recorded.items()})
 
-    if failures:
-        print(f"\nFAILED: {len(failures)} regression(s): {', '.join(failures)}")
-        return 1
-    print("\nOK: no measurement regressed beyond the allowed factor")
-    return 0
+    # The cells are single-threaded and CPU-bound, so measure them on
+    # the process CPU clock: time stolen by other processes (the
+    # dominant noise on shared runners) does not count, while an extra
+    # hot-path check — pure CPU work — counts in full.  The baseline's
+    # wall-clock seconds bound its CPU seconds, so the budget only gets
+    # tighter.
+    global _CLOCK
+    saved_clock = _CLOCK
+    _CLOCK = time.process_time
+    try:
+        # One-sided calibration: a slower machine gets a larger budget,
+        # a faster one keeps the absolute recorded seconds — hook cost
+        # cannot be negative, and the scalar calibration workload and
+        # the numpy-bound rounds need not speed up by the same ratio.
+        raw_scale = measure_calibration() / baseline_payload["calibration_seconds"]
+        scale = max(1.0, raw_scale)
+        print(f"machine-speed scale vs baseline: {raw_scale:.2f}x "
+              f"(applied: {scale:.2f}x, one-sided)\n")
+        with _kernel_env() as set_env:
+            set_env(tier="numpy", threads=1)
+
+            def measure() -> Dict[str, object]:
+                return cell_rows(_pr9_matrix_cell((int(n),)))
+
+            # Single readings wobble ±20% under background load while the
+            # floor — what a hot-path check would raise — is stable, so
+            # the gate converges on a best-of.
+            return gate(baseline, measure(), scale, factor,
+                        remeasure=measure, retries=OVERHEAD_RETRIES)
+    finally:
+        _CLOCK = saved_clock
+
+
+def compare_tiers(jit_path: Path, numpy_path: Path, factor: float) -> int:
+    """Gate the jit tier against the numpy tier (``--compare-tiers``).
+
+    Both arguments are PR7-format baselines whose ``kernel_tier`` must
+    read ``jit`` and ``numpy`` respectively.  Every kernel-bound round
+    row of the numpy file must satisfy ``jit <= numpy * machine_scale *
+    factor`` — a jit build slower than the numpy reference is a
+    regression, not an optimisation.
+    """
+    jit, ref = (json.loads(Path(path).read_text()) for path in (jit_path, numpy_path))
+    for path, payload, tier in ((jit_path, jit, "jit"), (numpy_path, ref, "numpy")):
+        if payload.get("kernel_tier") != tier:
+            print(f"FAILED: {path} was recorded on kernel tier "
+                  f"{payload.get('kernel_tier')!r}, expected {tier!r}")
+            return 1
+    baseline = {
+        label: value for label, value in flatten(ref).items()
+        if label.startswith(TIER_ROWS)
+    }
+    return gate(baseline, flatten(jit), _scale(jit, ref), factor)
+
+
+#: ``--suite`` name → collector of the baseline it records.
+SUITES = {
+    "pr4": lambda: collect(),
+    "sparse": lambda: collect_sparse(),
+    "service": lambda: collect_service(),
+    "pr9": lambda: collect_pr9(),
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, default=None,
-                        help="where to write the baseline JSON")
-    parser.add_argument("--suite", choices=("pr4", "sparse", "service", "pr9"),
-                        default="pr4",
+                        help="where to write the recorded suite (required to record)")
+    parser.add_argument("--suite", choices=tuple(SUITES), default="pr4",
                         help="which workload suite to record (default pr4)")
     parser.add_argument("--check", type=Path, default=None, metavar="BASELINE",
                         help="compare fresh measurements against a committed "
@@ -1217,7 +997,7 @@ def main(argv=None) -> int:
                              f"(default {TIER_COMPARE_FACTOR})")
     parser.add_argument("--profile", action="store_true",
                         help="print the per-stage wall-clock breakdown of one "
-                             "sparse round per size (sets REPRO_PROFILE=1)")
+                             "sparse round per size, read from its stage spans")
     parser.add_argument("--threads", type=str, default=None, metavar="N,N,...",
                         help="with --profile: sweep REPRO_KERNEL_THREADS over "
                              "these counts and report per-stage scaling "
@@ -1229,7 +1009,7 @@ def main(argv=None) -> int:
                         metavar="PR9_BASELINE",
                         help="gate the telemetry-disabled hot path: replay the "
                              "numpy/threads=1 N=2000 cells of a PR9-format "
-                             "baseline with tracing/profiling off and fail on "
+                             "baseline with tracing off and fail on "
                              "any slowdown beyond --overhead-factor")
     parser.add_argument("--overhead-factor", type=float, default=OVERHEAD_FACTOR,
                         help="allowed telemetry-disabled slowdown in "
@@ -1243,79 +1023,23 @@ def main(argv=None) -> int:
             else None
         )
         return profile_sparse(thread_counts=thread_counts, out=args.profile_out)
-
     if args.compare_tiers is not None:
         return compare_tiers(*args.compare_tiers, factor=args.tier_factor)
-
     if args.check_overhead is not None:
         return check_overhead(
             json.loads(args.check_overhead.read_text()), args.overhead_factor
         )
-
     if args.check is not None:
         return check(args.check, args.factor)
+    if args.out is None:
+        parser.error("recording a suite needs --out PATH; the committed "
+                     "BENCH_*.json baselines are not overwritten by default")
 
-    if args.suite == "service":
-        payload = collect_service()
-        out = args.out if args.out is not None else SERVICE_OUT
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        workloads = payload["workloads"]
-        print(f"wrote {out}")
-        latency = workloads["step_latency_seconds"]
-        print(f"{workloads['concurrent_sessions']} concurrent sessions "
-              f"(max {SERVICE_MAX_LIVE} live): "
-              f"{workloads['session_creates_per_second']:.0f} creates/s, "
-              f"step p50 {latency['p50'] * 1e3:.2f}ms p99 {latency['p99'] * 1e3:.2f}ms, "
-              f"{workloads['total_evictions']} evictions / "
-              f"{workloads['total_resurrections']} resurrections")
-        print(f"idle session: live {workloads['live_session_idle_bytes'] / 1024:.1f}KiB "
-              f"-> evicted {workloads['evicted_session_idle_bytes'] / 1024:.1f}KiB "
-              f"({workloads['eviction_memory_ratio']:.2f}x); "
-              f"eviction equivalence "
-              f"{'holds' if workloads['eviction_equivalence'] else 'VIOLATED'}")
-        return 0
-
-    if args.suite == "pr9":
-        payload = collect_pr9()
-        out = args.out if args.out is not None else PR9_OUT
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
-        for tier, tier_data in payload["tiers"].items():
-            for threads, cell in tier_data["threads"].items():
-                dist = cell["sparse_distributed_round_seconds"]
-                print(f"{tier} threads={threads} distributed round: "
-                      + ", ".join(f"n={n} {t:.2f}s" for n, t in dist.items()))
-        scaling = payload["thread_scaling"]
-        print(f"thread scaling ({scaling['tier']} {scaling['workload']}): "
-              + ", ".join(f"{t}->{s:.2f}s" for t, s in scaling["seconds"].items())
-              + f"; saturates at {scaling['saturation_threads']} thread(s)")
-        return 0
-
-    if args.suite == "sparse":
-        payload = collect_sparse()
-        out = args.out if args.out is not None else SPARSE_OUT
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        workloads = payload["workloads"]
-        print(f"wrote {out}")
-        dist = workloads["sparse_distributed_round_seconds"]
-        print("sparse distributed round: "
-              + ", ".join(f"n={n} {t:.2f}s" for n, t in dist.items()))
-        print(f"n=2000 speedup over the references: centralized (batched) "
-              f"{workloads['sparse_speedup_n2000_centralized']:.2f}x, distributed (legacy) "
-              f"{workloads['sparse_speedup_n2000_distributed']:.2f}x")
-        print(f"distributed scaling exponent (10k -> 50k): "
-              f"{workloads['sparse_distributed_scaling_exponent']:.2f}")
-        return 0
-
-    payload = collect()
-    out = args.out if args.out is not None else DEFAULT_OUT
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    workloads = payload["workloads"]
-    print(f"wrote {out}")
-    print(f"distributed n=200 transient: "
-          f"legacy {workloads['distributed_deployment_n200_seconds']['legacy']:.2f}s, "
-          f"sparse {workloads['distributed_deployment_n200_seconds']['sparse']:.2f}s "
-          f"({workloads['distributed_speedup_n200']:.2f}x)")
+    payload = SUITES[args.suite]()
+    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.out}")
+    for label, value in flatten(payload).items():
+        print(f"{label:58s} {_fmt(value)}")
     return 0
 
 

@@ -26,8 +26,9 @@ engine replaces both:
   is computed by :func:`~repro.engine.sparse_kernels.mec_batch` over
   flat vertex arrays instead of one scalar Welzl call per node.
 
-With ``REPRO_PROFILE=1`` the round result carries a per-stage timing
-dict (see :mod:`repro.engine.profiling`).
+Each stage (query / candidates / kth / clip / finish / emit / summary)
+runs inside a :func:`repro.obs.trace.span` of that name — the one stage
+clock, read by traces and by ``benchmarks/export_bench.py --profile``.
 
 Numerical contract: **tolerance, not bitwise** (see DESIGN.md "Sparse
 engine tier").  Results agree with the batched engine to well within
@@ -48,14 +49,14 @@ import numpy as np
 from repro.engine.arrays import NodeArrayState
 from repro.engine.base import EngineRound, register_engine, summarize_regions
 from repro.engine.batch import BatchedRoundEngine
-from repro.engine.jit_kernels import kernel_tier, ragged_indices, segment_ids
-from repro.engine.kernels import chunk_budget_bytes, kernel_threads
+from repro.engine.jit_kernels import ragged_indices, segment_ids
+from repro.engine.kernels import chunk_budget_bytes
 from repro.engine.pieces import LazyRegions, PieceAccumulator, materialize_pieces
-from repro.engine.profiling import StageTimer
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
 from repro.geometry.primitives import EPS
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.voronoi.dominating import DominatingRegion
 
 #: Candidate volume actually fetched from the spatial grid, summed per
@@ -80,12 +81,10 @@ class SparseRoundEngine(BatchedRoundEngine):
     def __init__(self, network, config) -> None:
         super().__init__(network, config)
         self._flat_regions: Optional[_FlatRegions] = None
-        self._stage_timer: Optional[StageTimer] = None
 
     # ------------------------------------------------------------------
     def compute_regions(self) -> Tuple[Dict[int, DominatingRegion], int]:
         self._flat_regions = None
-        self._stage_timer = StageTimer()
         if self.config.use_localized:
             return self._compute_regions_localized()
         return self._compute_regions_sparse()
@@ -103,7 +102,6 @@ class SparseRoundEngine(BatchedRoundEngine):
         network = self.network
         config = self.config
         k = config.k
-        timer = self._stage_timer
         area = network.region
         area_pieces = area.convex_pieces()
         diameter = area.diameter
@@ -155,11 +153,11 @@ class SparseRoundEngine(BatchedRoundEngine):
         pending = np.arange(count, dtype=np.int64)
         while pending.size:
             qrad = rho[pending].copy()
-            with timer.stage("query"):
+            with _trace.span("query"):
                 cand, cand_indptr = grid.query_radius_many(
                     positions[pending], qrad
                 )
-            with timer.stage("candidates"):
+            with _trace.span("candidates"):
                 counts_all = np.diff(cand_indptr)
                 total_cand = cand.shape[0]
                 _GRID_CANDIDATES.inc(total_cand)
@@ -179,7 +177,7 @@ class SparseRoundEngine(BatchedRoundEngine):
 
             unknown = ~kth_known[pending]
             if unknown.any():
-                with timer.stage("kth"):
+                with _trace.span("kth"):
                     rows_u = np.nonzero(unknown)[0]
                     enough = counts_all[rows_u] >= need + 1
                     rows_e = rows_u[enough]
@@ -203,7 +201,7 @@ class SparseRoundEngine(BatchedRoundEngine):
             act_nodes = pending[act]
             rho_act = rho[act_nodes]
 
-            with timer.stage("candidates"):
+            with _trace.span("candidates"):
                 if act.size == pending.size:
                     sel_cand = cand
                     sel_dist = dist
@@ -225,13 +223,13 @@ class SparseRoundEngine(BatchedRoundEngine):
                 comp_indptr = np.concatenate(
                     ([0], np.cumsum(comp_counts))
                 ).astype(np.int64)
-            with timer.stage("clip"):
+            with _trace.span("clip"):
                 vx, vy, piece_indptr, piece_owner = clip_cells_batch(
                     positions[act_nodes], px[comp], py[comp], comp_indptr,
                     area_pieces, k,
                 )
 
-            with timer.stage("finish"):
+            with _trace.span("finish"):
                 vert_counts = np.diff(piece_indptr)
                 total_verts = vx.shape[0]
                 site_rad = np.zeros(act.size)
@@ -268,7 +266,7 @@ class SparseRoundEngine(BatchedRoundEngine):
                 drop[act[finished]] = True
                 pending = pending[~drop]
 
-        with timer.stage("emit"):
+        with _trace.span("emit"):
             evx, evy, piece_indptr, piece_owner, vert_indptr = emit.finalize(
                 count
             )
@@ -353,8 +351,7 @@ class SparseRoundEngine(BatchedRoundEngine):
     # Vectorized per-round summary
     # ------------------------------------------------------------------
     def _summarize_vectorized(self, regions, max_hops) -> EngineRound:
-        timer = self._stage_timer
-        with timer.stage("summary"):
+        with _trace.span("summary"):
             flat_x, flat_y, indptr, alive_ids = self._flat_regions
             self._flat_regions = None
             network = self.network
@@ -393,5 +390,4 @@ class SparseRoundEngine(BatchedRoundEngine):
             ranges_from_position=ranges.tolist(),
             displacements=displacements.tolist(),
             max_ring_hops=max_hops,
-            profile=timer.result(threads=kernel_threads(), tier=kernel_tier()),
         )

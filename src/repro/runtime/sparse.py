@@ -66,14 +66,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.jit_kernels import closer_counts, kernel_tier, segment_ids
-from repro.engine.kernels import BatchedRegionContainment, kernel_threads
+from repro.engine.jit_kernels import closer_counts, segment_ids
+from repro.engine.kernels import BatchedRegionContainment
 from repro.engine.pieces import LazyRegions, materialize_pieces
-from repro.engine.profiling import StageTimer
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
 from repro.geometry.primitives import Point
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.runtime.engines import (
     DistributedEngineRound,
     DistributedRoundEngine,
@@ -146,7 +146,6 @@ class SparseDistributedEngine(DistributedRoundEngine):
     def run_round(self, round_index: int) -> DistributedEngineRound:
         network = self.network
         config = self.config
-        self._stage_timer = StageTimer()
         area = network.region
         area_pieces = area.convex_pieces()
         gamma = network.comm_range
@@ -164,7 +163,7 @@ class SparseDistributedEngine(DistributedRoundEngine):
         # IS the legacy ring-member visiting order.
         grid = SpatialGrid(positions, cell_size=max(gamma, 1e-6))
         if self.scheduler.drop_probability > 0.0:
-            with self._stage_timer.stage("gather"):
+            with _trace.span("gather"):
                 gathered = self._gather_lossy(
                     grid, positions, alive, step, max_radius, gamma
                 )
@@ -227,7 +226,6 @@ class SparseDistributedEngine(DistributedRoundEngine):
         pair_ring = np.zeros(0, dtype=np.int64)
         pair_hops = np.zeros(0, dtype=np.int64)
 
-        timer = self._stage_timer
         fetched_levels = 0
         level = 0
         while active.any():
@@ -238,7 +236,7 @@ class SparseDistributedEngine(DistributedRoundEngine):
                 # Fetch the next horizon block (doubling span) for the
                 # still-active owners.  All pairs of earlier rings have
                 # been processed, so the old pair state is obsolete.
-                with timer.stage("gather"):
+                with _trace.span("gather"):
                     span = max(2, fetched_levels)
                     new_fetched = level + span - 1
                     _extend_schedule(rhos, thresholds, new_fetched, step)
@@ -284,7 +282,7 @@ class SparseDistributedEngine(DistributedRoundEngine):
 
             mask = (pair_ring == level) & active[pair_owner]
             if mask.any():
-                with timer.stage("gather"):
+                with _trace.span("gather"):
                     level_hops = pair_hops[mask]
                     scheduler.record_many(
                         np.repeat(level_hops, 2),
@@ -299,7 +297,7 @@ class SparseDistributedEngine(DistributedRoundEngine):
                     known_y = np.concatenate((known_y, py[lvl_cand]))
 
             # Algorithm-2 stop checks for every active node at once.
-            with timer.stage("circle_check"):
+            with _trace.span("circle_check"):
                 rows_active = np.nonzero(active)[0]
                 sel = active[known_owner]
                 ko = known_owner[sel]
@@ -656,13 +654,12 @@ class SparseDistributedEngine(DistributedRoundEngine):
         network = self.network
         config = self.config
         k = config.k
-        timer = self._stage_timer
         n_alive = alive_rows.shape[0]
         px = positions[:, 0]
         py = positions[:, 1]
         sx = px[alive_rows]
         sy = py[alive_rows]
-        with timer.stage("clip"):
+        with _trace.span("clip"):
             owner = segment_ids(np.diff(known_indptr), known_ids.shape[0])
             dx = px[known_ids] - sx[owner]
             dy = py[known_ids] - sy[owner]
@@ -705,7 +702,7 @@ class SparseDistributedEngine(DistributedRoundEngine):
         # Vectorised summary: Chebyshev centers via mec_batch, ranges
         # and displacements via ragged reductions, move proposals with
         # the agent's exact update grouping.
-        with timer.stage("summary"):
+        with _trace.span("summary"):
             vert_owner = piece_owner[
                 segment_ids(np.diff(piece_indptr), vx.shape[0])
             ]
@@ -751,5 +748,4 @@ class SparseDistributedEngine(DistributedRoundEngine):
             ranges_from_position=ranges.tolist(),
             displacements=displacements.tolist(),
             proposed_targets=proposed,
-            profile=timer.result(threads=kernel_threads(), tier=kernel_tier()),
         )
